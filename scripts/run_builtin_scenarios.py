@@ -18,6 +18,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="reports", help="output directory (default: reports/)")
     ap.add_argument("--bound", type=int, default=None, help="witness search bound")
     args = ap.parse_args(argv)
+    if args.bound is not None and args.bound < 0:
+        ap.error(f"argument --bound: must be >= 0, got {args.bound}")
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

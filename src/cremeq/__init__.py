@@ -1,10 +1,11 @@
 """Exact intersection-lattice bookkeeping for plane-equivalence questions.
 
-Everything is integer or Fraction arithmetic: divisor classes on named
-lattices, blow-ups as checked isometries, generic projections to P3 with
-their double point classes, ray bookkeeping on the induced threefold, a
-log-Kodaira degree test, and replayable infeasibility certificates for the
-nonnegative restriction system that obstructs plane equivalence.
+Everything is exact integer arithmetic, with linear systems solved by Bareiss
+integer elimination: divisor classes on named lattices, blow-ups as checked
+isometries, generic projections to P3 with their double point classes, ray
+bookkeeping on the induced threefold, a log-Kodaira degree test, and
+replayable infeasibility certificates for the nonnegative restriction system
+that obstructs plane equivalence.
 """
 
 from .family_checks import (

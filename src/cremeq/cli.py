@@ -59,6 +59,8 @@ def main(argv=None) -> int:
     sub.add_parser("check-all", help="run every built-in scenario")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.bound is not None and args.bound < 0:
+        p_run.error(f"argument --bound: must be >= 0, got {args.bound}")
 
     if args.command == "list":
         for name in list_scenarios():

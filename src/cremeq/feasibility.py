@@ -15,9 +15,10 @@ certificate rather than a bare verdict:
   witness exists with entries up to the bound.  Deciding beyond that honestly
   would need integer-programming machinery this package deliberately avoids.
 
-Elimination is rational Gaussian elimination (forward only) followed by sign
-analysis; that is enough for the rank-3 systems in six unknowns this package
-cares about, and for plenty more.
+Elimination is Bareiss integer elimination (forward only, each derived row
+divided down to the primitive multiple of its rational echelon row) followed
+by sign analysis; that is enough for the rank-3 systems in six unknowns this
+package cares about, and for plenty more.
 
 build_obstruction_system encodes the restriction bookkeeping that obstructs
 moving a sextic ruled surface to a plane: on the two-blowdown lattice the
@@ -29,11 +30,10 @@ in six nonnegative multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .lattice import DivisorClass, LatticeMismatchError
-from .linalg import echelon_with_transform
+from .linalg import eliminate
 from .surfaces import SZModel
 
 
@@ -423,24 +423,30 @@ def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCerti
         basis_terms = []
         for coeffs, rhs, terms in all_lines():
             c2, t2 = substituted(coeffs, terms)
-            rows_in.append([Fraction(v) for v in c2] + [Fraction(rhs)])
+            rows_in.append(list(c2) + [rhs])
             basis_terms.append(t2)
         if not rows_in:
             break
-        ech, T = echelon_with_transform(rows_in)
+        k = len(rows_in)
+        # [rows | I]: the identity block records each echelon row as an
+        # integer combination of the input rows
+        ech, _, scales, _ = eliminate(
+            [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows_in)],
+            ncols=n + 1,
+        )
         grew = False
-        for trow, row in zip(T, ech):
-            dens = [f.denominator for f in trow] + [f.denominator for f in row]
-            m = lcm(*dens)
-            coeffs2 = tuple(int(f * m) for f in row[:-1])
-            rhs2 = int(row[-1] * m)
+        for row, scale in zip(ech, scales):
+            # row / scale is the rational echelon row; clear its denominators
+            g = gcd(*row, scale) if scale > 0 else -gcd(*row, scale)
+            row = [v // g for v in row]
+            coeffs2 = tuple(row[:n])
+            rhs2 = row[n]
             if all(v == 0 for v in coeffs2) and rhs2 == 0:
                 continue
             if (coeffs2, rhs2) in seen:
                 continue
             acc: dict[str, int] = {}
-            for f, terms in zip(trow, basis_terms):
-                mult = int(f * m)
+            for mult, terms in zip(row[n + 1 :], basis_terms):
                 if mult == 0:
                     continue
                 for ref, q in terms:

@@ -76,18 +76,9 @@ class IntersectionLattice:
     def __call__(self, coeffs) -> "DivisorClass":
         return DivisorClass(self, tuple(int(c) for c in coeffs))
 
-    def divisor(self, *coeffs: int) -> "DivisorClass":
-        return self(coeffs)
-
     @property
     def canonical(self) -> "DivisorClass":
         return self(self.canonical_coeffs)
-
-    def pair(self, a: "DivisorClass", b: "DivisorClass") -> int:
-        return pair(a, b)
-
-    def genus(self, c: "DivisorClass") -> int:
-        return genus(c)
 
     def to_json_dict(self) -> dict:
         d = {

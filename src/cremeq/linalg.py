@@ -1,8 +1,9 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Everything in this package that solves a linear system does it here, with
-fractions.Fraction entries.  No floats anywhere: the certificates downstream
-are only worth something if every intermediate value is exact.
+one forward pass of Bareiss fraction-free elimination on Python ints
+(E. H. Bareiss, Math. Comp. 22, 1968).  No floats anywhere: the certificates
+downstream are only worth something if every intermediate value is exact.
 """
 
 from __future__ import annotations
@@ -10,36 +11,71 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def echelon_with_transform(
-    rows: list[list[Fraction]],
-) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Forward Gaussian elimination, no back-substitution.
+def eliminate(
+    rows: list[list[int]], ncols: int | None = None
+) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Bareiss forward elimination, pivoting only in the first ncols columns.
 
-    Returns (ech, T) with ech[i] == sum_j T[i][j] * rows[j].  Keeping only the
-    forward pass matters to callers that want derived rows to stay close to
-    simple pairwise differences of the input equations.
+    There is no back-substitution: derived rows stay close to simple pairwise
+    differences of the input rows, which keeps infeasibility chains readable.
+
+    Returns (ech, pivots, scales, sign).  ech is in echelon form in its first
+    ncols columns and every row is an integer combination of the input rows;
+    the columns after ncols (an identity block, say) ride along.  pivots are
+    the pivot columns, and row i of ech holds pivots[i] for i < len(pivots).
+    ech[i] == scales[i] * (row i of forward rational Gaussian elimination with
+    the same pivots), and sign is the sign of the row permutation.  The
+    division by the previous pivot is exact by Sylvester's identity: every
+    entry is a minor of the input.
     """
-    m = len(rows)
     work = [list(r) for r in rows]
-    n = len(work[0]) if m else 0
-    T = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    pivot_row = 0
-    for col in range(n):
-        pr = next((r for r in range(pivot_row, m) if work[r][col] != 0), None)
+    m = len(work)
+    if ncols is None:
+        ncols = len(work[0]) if m else 0
+    pivots: list[int] = []
+    scales: list[int] = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == m:
+            break
+        pr = next((r for r in range(k, m) if work[r][col] != 0), None)
         if pr is None:
             continue
-        work[pivot_row], work[pr] = work[pr], work[pivot_row]
-        T[pivot_row], T[pr] = T[pr], T[pivot_row]
-        piv = work[pivot_row][col]
-        for r in range(pivot_row + 1, m):
-            f = work[r][col] / piv
-            if f:
-                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
-                T[r] = [a - f * b for a, b in zip(T[r], T[pivot_row])]
-        pivot_row += 1
-        if pivot_row == m:
-            break
-    return work, T
+        if pr != k:
+            work[k], work[pr] = work[pr], work[k]
+            sign = -sign
+        top = work[k]
+        piv = top[col]
+        for r in range(k + 1, m):
+            f = work[r][col]
+            work[r] = [(piv * a - f * b) // prev for a, b in zip(work[r], top)]
+        pivots.append(col)
+        scales.append(prev)
+        prev = piv
+    scales += [prev] * (m - len(pivots))
+    return work, pivots, scales, sign
+
+
+def _last_pivot(ech: list[list[int]], pivots: list[int]) -> int:
+    return ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
+def _back_substitute(ech: list[list[int]], n: int, d: int) -> list[list[int]]:
+    """Rows of d * X for U X = B, U the full-rank leading n x n block of ech
+    and B the columns after it.  The divisions are exact when d * X is
+    integral, which Cramer's rule gives for d the last pivot (+-det).
+    """
+    xs: list[list[int]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        row = ech[i]
+        acc = [d * b for b in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [a - row[j] * x for a, x in zip(acc, xs[j])]
+        xs[i] = [a // row[i] for a in acc]
+    return xs
 
 
 def solve_exact(
@@ -50,48 +86,22 @@ def solve_exact(
     Returns ("unique", xs), ("inconsistent", None) or ("underdetermined", None).
     Overdetermined but consistent systems come back "unique".
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    ech, _ = echelon_with_transform(aug)
-    pivots: list[int] = []
-    for row in ech:
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead is None:
-            continue
-        if lead == n:
-            return "inconsistent", None
-        pivots.append(lead)
+    n = len(matrix[0]) if matrix else 0
+    ech, pivots, _, _ = eliminate([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == n:
+        return "inconsistent", None
     if len(pivots) < n:
         return "underdetermined", None
-    # back-substitute; pivots are strictly increasing so this is triangular
-    xs: list[Fraction] = [Fraction(0)] * n
-    live = [row for row in ech if any(v != 0 for v in row)]
-    for row, lead in reversed(list(zip(live, pivots))):
-        acc = row[n] - sum(row[j] * xs[j] for j in range(lead + 1, n))
-        xs[lead] = acc / row[lead]
-    return "unique", xs
+    d = _last_pivot(ech, pivots)
+    return "unique", [Fraction(row[0], d) for row in _back_substitute(ech, n, d)]
 
 
-def determinant(matrix: list[list[int]]) -> Fraction:
-    """Determinant via fraction-free-ish elimination (exact, small matrices)."""
-    n = len(matrix)
-    work = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pr = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != col:
-            work[col], work[pr] = work[pr], work[col]
-            det = -det
-        piv = work[col][col]
-        det *= piv
-        for r in range(col + 1, n):
-            f = work[r][col] / piv
-            if f:
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
+def determinant(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: the signed last Bareiss pivot."""
+    ech, pivots, _, sign = eliminate(matrix)
+    if len(pivots) < len(matrix):
+        return 0
+    return sign * _last_pivot(ech, pivots)
 
 
 def invert_unimodular(matrix: list[list[int]]) -> list[list[int]]:
@@ -101,13 +111,12 @@ def invert_unimodular(matrix: list[list[int]]) -> list[list[int]]:
     integral, which is exactly what a lattice basis change needs.
     """
     n = len(matrix)
-    det = determinant(matrix)
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {det})")
-    cols: list[list[Fraction]] = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        status, xs = solve_exact(matrix, e)
-        assert status == "unique" and xs is not None
-        cols.append(xs)
-    return [[int(cols[j][i]) for j in range(n)] for i in range(n)]
+    augmented = [
+        list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)
+    ]
+    ech, pivots, _, sign = eliminate(augmented, ncols=n)
+    d = _last_pivot(ech, pivots) if len(pivots) == n else 0
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det = {sign * d})")
+    # the last pivot d is +-1, so d * A^-1 is integral and A^-1 = d * (d * A^-1)
+    return [[d * x for x in row] for row in _back_substitute(ech, n, d)]

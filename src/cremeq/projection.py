@@ -128,8 +128,6 @@ class ProjectionModel:
     sect_genus: int
     deg_gamma: int
     gamma_w: DivisorClass
-    triple_points: int | None = None
-    cusps: int | None = None
 
     def __post_init__(self) -> None:
         if self.gamma_w.lattice != self.surface.lattice:
@@ -140,18 +138,13 @@ class ProjectionModel:
             )
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "surface": self.surface.to_json_dict(),
             "deg_s": self.deg_s,
             "sect_genus": self.sect_genus,
             "deg_gamma": self.deg_gamma,
             "gamma_w": list(self.gamma_w.coeffs),
         }
-        if self.triple_points is not None:
-            d["triple_points"] = self.triple_points
-        if self.cusps is not None:
-            d["cusps"] = self.cusps
-        return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "ProjectionModel":
@@ -162,16 +155,12 @@ class ProjectionModel:
             sect_genus=d["sect_genus"],
             deg_gamma=d["deg_gamma"],
             gamma_w=surf.lattice(d["gamma_w"]),
-            triple_points=d.get("triple_points"),
-            cusps=d.get("cusps"),
         )
 
 
 def project_to_p3(
     surface: PolarizedSurface,
     incidence_classes: list[DivisorClass],
-    triple_points: int | None = None,
-    cusps: int | None = None,
     deg_gamma: int | None = None,
 ) -> ProjectionModel:
     """Assemble the projection model of a polarized surface.
@@ -195,6 +184,4 @@ def project_to_p3(
         sect_genus=sect_genus,
         deg_gamma=deg_gamma,
         gamma_w=gw,
-        triple_points=triple_points,
-        cusps=cusps,
     )

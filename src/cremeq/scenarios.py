@@ -211,9 +211,8 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             f"{origin}: field 'verdict_rule' must be one of "
             f"obstruction/good_model/fibration, got {rule!r}"
         )
-    for field in ("triple_points", "cusps", "deg_gamma"):
-        if field in cfg and not _is_int(cfg[field]):
-            raise ScenarioConfigError(f"{origin}: field '{field}' must be an integer")
+    if "deg_gamma" in cfg and not _is_int(cfg["deg_gamma"]):
+        raise ScenarioConfigError(f"{origin}: field 'deg_gamma' must be an integer")
     if "contracting_divisor" in cfg:
         cd = cfg["contracting_divisor"]
         if not isinstance(cd, dict) or not _is_int(cd.get("h")) or not _is_int(cd.get("e")):
@@ -222,9 +221,11 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             )
     if "obstruction" in cfg:
         ob = cfg["obstruction"]
-        if not isinstance(ob, dict) or ("bound" in ob and not _is_int(ob["bound"])):
+        if not isinstance(ob, dict) or (
+            "bound" in ob and not (_is_int(ob["bound"]) and ob["bound"] >= 0)
+        ):
             raise ScenarioConfigError(
-                f"{origin}: field 'obstruction.bound' must be an integer"
+                f"{origin}: field 'obstruction.bound' must be a nonnegative integer"
             )
 
 
@@ -347,8 +348,6 @@ def _run_projection(cfg: dict, bound_override: int | None):
             model = project_to_p3(
                 surface,
                 [table[lab] for lab in inc_labels],
-                triple_points=cfg.get("triple_points"),
-                cusps=cfg.get("cusps"),
                 deg_gamma=cfg.get("deg_gamma"),
             )
             computed["double_curve_degree"] = model.deg_gamma

@@ -42,11 +42,6 @@ class BlowupThreefold:
         """Restriction of the exceptional: the double point class."""
         return self.projection.gamma_w
 
-    @property
-    def sing_points(self) -> int | None:
-        """Count of half(1,-1,1) points of T: the triple points of the curve."""
-        return self.projection.triple_points
-
     def _check(self, c: DivisorClass) -> None:
         if c.lattice != self.projection.surface.lattice:
             raise LatticeMismatchError(

@@ -1,45 +1,64 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cremeq.linalg import (
     determinant,
-    echelon_with_transform,
+    eliminate,
     invert_unimodular,
     solve_exact,
 )
 
 
-def F(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+def with_identity(rows):
+    m = len(rows)
+    return [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+
+
+def rational_forward(rows, ncols):
+    """Forward Gaussian elimination over Fractions, pivots in the first ncols."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    k = 0
+    for col in range(ncols):
+        pr = next((r for r in range(k, len(work)) if work[r][col] != 0), None)
+        if pr is None:
+            continue
+        work[k], work[pr] = work[pr], work[k]
+        for r in range(k + 1, len(work)):
+            f = work[r][col] / work[k][col]
+            work[r] = [a - f * b for a, b in zip(work[r], work[k])]
+        k += 1
+    return work
 
 
 def test_echelon_transform_reproduces_rows():
-    rows = F([[2, 1, 3], [4, 2, 7], [0, 1, 1]])
-    ech, T = echelon_with_transform(rows)
+    rows = [[2, 1, 3], [4, 2, 7], [0, 1, 1]]
+    ech, _, _, _ = eliminate(with_identity(rows), ncols=3)
     for i in range(3):
-        recon = [
-            sum(T[i][j] * rows[j][k] for j in range(3)) for k in range(3)
-        ]
-        assert recon == ech[i]
+        T = ech[i][3:]
+        recon = [sum(T[j] * rows[j][k] for j in range(3)) for k in range(3)]
+        assert recon == ech[i][:3]
 
 
 def test_echelon_is_forward_only():
     # the second row keeps its dependence on the first: no back-substitution
-    rows = F([[1, 1, 0], [0, 1, 5]])
-    ech, T = echelon_with_transform(rows)
-    assert ech[0] == [Fraction(1), Fraction(1), Fraction(0)]
-    assert ech[1] == [Fraction(0), Fraction(1), Fraction(5)]
-    assert T[0][0] == 1 and T[0][1] == 0
+    rows = [[1, 1, 0], [0, 1, 5]]
+    ech, pivots, scales, sign = eliminate(with_identity(rows), ncols=3)
+    assert ech[0][:3] == [1, 1, 0]
+    assert ech[1][:3] == [0, 1, 5]
+    assert ech[0][3:] == [1, 0]
+    assert (pivots, scales, sign) == ([0, 1], [1, 1], 1)
 
 
 def test_echelon_empty():
-    ech, T = echelon_with_transform([])
-    assert ech == [] and T == []
+    assert eliminate([]) == ([], [], [], 1)
 
 
+@example([[1, 0, 0], [1, 0, 0], [1, 0, 0]])
 @given(
     st.lists(
         st.lists(st.integers(-6, 6), min_size=3, max_size=3),
@@ -47,20 +66,24 @@ def test_echelon_empty():
         max_size=4,
     )
 )
-def test_echelon_transform_invariant(raw):
-    rows = F(raw)
-    ech, T = echelon_with_transform(rows)
+def test_echelon_transform_invariant(rows):
     m = len(rows)
+    ech, pivots, scales, _ = eliminate(with_identity(rows), ncols=3)
     for i in range(m):
-        recon = [sum(T[i][j] * rows[j][k] for j in range(m)) for k in range(3)]
-        assert recon == ech[i]
+        T = ech[i][3:]
+        recon = [sum(T[j] * rows[j][k] for j in range(m)) for k in range(3)]
+        assert recon == ech[i][:3]
     # leading entries move strictly right among the nonzero rows
     leads = []
     for row in ech:
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
+        lead = next((j for j, v in enumerate(row[:3]) if v != 0), None)
         if lead is not None:
             leads.append(lead)
     assert leads == sorted(leads) and len(set(leads)) == len(leads)
+    assert leads == pivots
+    # each integer row is its rational counterpart times the recorded scale
+    for row, rat, scale in zip(ech, rational_forward(with_identity(rows), 3), scales):
+        assert row == [scale * v for v in rat]
 
 
 def test_solve_exact_unique():
@@ -113,3 +136,27 @@ def test_determinant_matches_cofactor_expansion(m):
     g, h, i = m[2]
     by_hand = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     assert determinant(m) == by_hand
+
+
+def random_unimodular(rng, n):
+    """Row-shuffled product of unit lower and unit upper triangular matrices."""
+    def unit_triangular(below):
+        return sympy.Matrix(
+            n, n, lambda i, j: 1 if i == j else rng.randint(-2, 2) if (j < i) == below else 0
+        )
+
+    rows = (unit_triangular(True) * unit_triangular(False)).tolist()
+    rng.shuffle(rows)
+    return [[int(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_determinant_and_inverse_match_sympy(n):
+    rng = random.Random(1000 + n)
+    for _ in range(3):
+        a = random_unimodular(rng, n)
+        oracle = sympy.Matrix(a)
+        assert determinant(a) == oracle.det()
+        assert sympy.Matrix(invert_unimodular(a)) == oracle.inv()
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        assert determinant(b) == sympy.Matrix(b).det()

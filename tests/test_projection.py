@@ -113,7 +113,7 @@ def test_projection_model_validates_degree_pairing(f0):
 
 
 def test_projection_model_json_roundtrip(f0):
-    model = project_to_p3(f0, [f0.lattice((0, 1))], triple_points=0, cusps=0)
+    model = project_to_p3(f0, [f0.lattice((0, 1))])
     back = ProjectionModel.from_json_dict(model.to_json_dict())
     assert back == model
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,7 @@ def test_load_scenario_top_level_must_be_object(tmp_path):
         (lambda c: c.update(second_ray="nope"), "unknown label 'nope'"),
         (lambda c: c.update(curve_cone=["nope"]), "unknown label 'nope'"),
         (lambda c: c.update(deg_gamma="ten"), "field 'deg_gamma'"),
+        (lambda c: c.update(obstruction={"bound": -1}), "field 'obstruction.bound'"),
         (lambda c: c.update(contracting_divisor={"h": 1}), "contracting_divisor"),
         (
             lambda c: c["classes"].append({"label": "bad", "coeffs": [1, 0.5]}),
@@ -115,6 +117,12 @@ def test_all_builtins_pass():
     for name in BUILTIN_SCENARIOS:
         report = run_scenario(builtin_scenario(name))
         assert report.overall == "PASS", (name, report.verdicts)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_builtin_report_matches_golden_file(name):
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert run_scenario(builtin_scenario(name)).to_json().encode() == golden.read_bytes()
 
 
 def test_report_is_deterministic():
@@ -252,3 +260,12 @@ def test_cli_check_all(capsys):
 def test_cli_bound_flag_accepted(capsys):
     assert main(["run", "sextic-ruled", "--bound", "50"]) == 0
     capsys.readouterr()
+
+
+def test_cli_negative_bound_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "sextic-ruled", "--bound", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--bound" in captured.err
+    assert captured.out == ""
