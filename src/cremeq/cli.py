@@ -3,11 +3,11 @@
 Usage:
     cremeq run <name-or-path> [--json OUT] [--md OUT] [--bound N]
     cremeq list
-    cremeq check-all
+    cremeq check-all [--out DIR]
 
 `run` prints the markdown report to stdout and exits 0 exactly when every
 expected value matched.  `check-all` runs the built-in scenarios and prints a
-one-line verdict each.
+one-line verdict each; --out also writes DIR/<name>.json and DIR/<name>.md.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def main(argv=None) -> int:
                        "restriction system")
 
     sub.add_parser("list", help="list built-in scenarios")
-    sub.add_parser("check-all", help="run every built-in scenario")
+    p_all = sub.add_parser("check-all", help="run every built-in scenario")
+    p_all.add_argument("--out", metavar="DIR", help="also write DIR/<name>.json and .md")
 
     args = parser.parse_args(argv)
     if args.command == "run" and args.bound is not None and args.bound < 0:
@@ -70,12 +71,15 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "check-all":
-        all_pass = True
-        for name in list_scenarios():
-            report = run_scenario(builtin_scenario(name))
-            print(f"{name}: {report.overall}")
-            all_pass = all_pass and report.overall == "PASS"
-        return 0 if all_pass else 1
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        reports = [run_scenario(builtin_scenario(name)) for name in list_scenarios()]
+        for report in reports:
+            print(f"{report.name}: {report.overall}")
+            if args.out:
+                (Path(args.out) / f"{report.name}.json").write_text(report.to_json())
+                (Path(args.out) / f"{report.name}.md").write_text(report.to_markdown())
+        return 0 if all(report.overall == "PASS" for report in reports) else 1
 
     try:
         scenario = _resolve(args.target)

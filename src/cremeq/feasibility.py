@@ -371,7 +371,8 @@ def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCerti
         force = None
         for coeffs, rhs, terms in all_lines():
             c2, t2 = substituted(coeffs, terms)
-            if all(v >= 0 for v in c2):
+            # an all-zero row `0 = c` is oriented so that a nonzero c reads negative
+            if all(v >= 0 for v in c2) and (any(c2) or rhs <= 0):
                 cand = (c2, rhs, t2)
             elif all(v <= 0 for v in c2):
                 cand = (

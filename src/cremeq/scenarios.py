@@ -5,19 +5,21 @@ probe, and a verdict rule, together with an expected-value table in which
 every constant carries a provenance string (the one-line arithmetic that
 justifies it, so a reader can audit the number without the source tree).
 
-run_scenario recomputes everything from the inputs, compares against the
-expected table key by key, and returns a ScenarioReport.  A failing or
-crashing step is captured per key as an ERROR string and the run carries on;
-reports never abort halfway.  Reports are deterministic: identical inputs
+run_scenario runs the declared stages of the scenario's kind (_STAGES), decides
+the verdict by the config's rule (_VERDICT_RULES) and compares against the
+expected table key by key.  A stage that raises leaves ERROR strings in its
+keys and the stages that need it are skipped; the run carries on, but any
+stage error fails the report.  Reports are deterministic: identical inputs
 give byte-identical JSON (sorted keys, no timestamps).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .family_checks import dominance_count, grassmannian_dim, monoid_ce_predicate
 from .feasibility import build_obstruction_system, solve_nonneg
@@ -59,6 +61,36 @@ _NO_SEARCH_NOTE = (
     "non-equivalence, when certified, rests on an infeasibility certificate "
     "for the restriction system; nothing here searches through birational maps."
 )
+
+
+class _Rule(NamedTuple):
+    key: str  # the computed key that carries the verdict
+    requires: dict  # computed values the verdict needs, equal in value and type
+    verdict: str  # the decisive verdict; INCONCLUSIVE when a requirement fails
+    note: str = ""  # narrative line recorded when the rule decides
+
+
+# kind -> verdict rule.  Requirements compare types too, so 1 never passes as True.
+_VERDICT_RULES = {
+    "projection": {
+        "obstruction": _Rule("final_verdict", {"negativity": "NEGATIVE_CERTIFIED",
+                                               "obstruction_status": "INFEASIBLE"},
+                             "NOT_CREMONA_EQUIVALENT_TO_PLANE"),
+        "good_model": _Rule("final_verdict",
+                            {"nef": True, "fano": True, "threshold_positive": True},
+                            "CE_TO_PLANE_VIA_GOOD_MODEL"),
+        "fibration": _Rule("final_verdict",
+                           {"ray_kind": RayKind.FIBRATION.value, "fano": True},
+                           "CE_TO_PLANE_VIA_FIBRATION"),
+    },
+    "family": {
+        "not_open": _Rule("family_verdict", {"monoid_ce": True}, "CE_TO_PLANE_NOT_OPEN"),
+        "not_closed": _Rule("family_verdict", {"dominant_possible": True},
+                            "CE_TO_PLANE_NOT_CLOSED",
+                            "assumption: generic finiteness of the parameterization "
+                            "is recorded, not verified."),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -128,6 +160,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
+def _int_fields(block, *names: str) -> bool:
+    return isinstance(block, dict) and all(_is_int(block.get(n)) for n in names)
+
+
 def _validate(cfg: dict, origin: str) -> None:
     def need(field: str, where: dict = cfg, ctx: str = ""):
         if field not in where:
@@ -155,10 +195,16 @@ def _validate(cfg: dict, origin: str) -> None:
                 f"{origin}: field 'expected.{key}.provenance' must be a "
                 "nonempty string"
             )
+    rule = need("verdict_rule")
+    if not isinstance(rule, str) or rule not in _VERDICT_RULES[kind]:
+        raise ScenarioConfigError(
+            f"{origin}: field 'verdict_rule' must be one of "
+            f"{'/'.join(_VERDICT_RULES[kind])}, got {rule!r}"
+        )
     if kind == "projection":
         _validate_projection(cfg, origin, need)
     else:
-        _validate_family(cfg, origin, need)
+        _validate_family(cfg, origin)
 
 
 def _validate_projection(cfg: dict, origin: str, need) -> None:
@@ -182,9 +228,7 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             raise ScenarioConfigError(
                 f"{origin}: field 'classes[{i}]' needs 'label' and 'coeffs'"
             )
-        if not isinstance(entry["coeffs"], list) or not all(
-            _is_int(c) for c in entry["coeffs"]
-        ):
+        if not _int_list(entry["coeffs"]):
             raise ScenarioConfigError(
                 f"{origin}: field 'classes[{i}].coeffs' must be a list of integers"
             )
@@ -205,17 +249,11 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
         raise ScenarioConfigError(
             f"{origin}: field 'second_ray' references unknown label {ray!r}"
         )
-    rule = need("verdict_rule")
-    if rule not in ("obstruction", "good_model", "fibration"):
-        raise ScenarioConfigError(
-            f"{origin}: field 'verdict_rule' must be one of "
-            f"obstruction/good_model/fibration, got {rule!r}"
-        )
     if "deg_gamma" in cfg and not _is_int(cfg["deg_gamma"]):
         raise ScenarioConfigError(f"{origin}: field 'deg_gamma' must be an integer")
     if "contracting_divisor" in cfg:
         cd = cfg["contracting_divisor"]
-        if not isinstance(cd, dict) or not _is_int(cd.get("h")) or not _is_int(cd.get("e")):
+        if not _int_fields(cd, "h", "e"):
             raise ScenarioConfigError(
                 f"{origin}: field 'contracting_divisor' needs integer 'h' and 'e'"
             )
@@ -229,44 +267,31 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             )
 
 
-def _validate_family(cfg: dict, origin: str, need) -> None:
-    rule = need("verdict_rule")
-    if rule not in ("not_open", "not_closed"):
-        raise ScenarioConfigError(
-            f"{origin}: field 'verdict_rule' must be 'not_open' or 'not_closed'"
-        )
+def _validate_family(cfg: dict, origin: str) -> None:
     if "monoid" not in cfg and "dominance" not in cfg:
         raise ScenarioConfigError(
             f"{origin}: family scenario needs 'monoid' or 'dominance'"
         )
     if "monoid" in cfg:
-        m = cfg["monoid"]
-        if (
-            not isinstance(m, dict)
-            or not _is_int(m.get("degree"))
-            or not _is_int(m.get("point_multiplicity"))
-        ):
+        if not _int_fields(cfg["monoid"], "degree", "point_multiplicity"):
             raise ScenarioConfigError(
                 f"{origin}: field 'monoid' needs integer 'degree' and "
                 "'point_multiplicity'"
             )
     if "grassmannian" in cfg:
         g = cfg["grassmannian"]
-        if not isinstance(g, list) or len(g) != 2 or not all(_is_int(v) for v in g):
+        if not _int_list(g) or len(g) != 2:
             raise ScenarioConfigError(
                 f"{origin}: field 'grassmannian' must be [k, n]"
             )
     if "dominance" in cfg:
         d = cfg["dominance"]
-        ok = (
+        if not (
             isinstance(d, dict)
-            and isinstance(d.get("param_space_dims"), list)
-            and all(_is_int(v) for v in d.get("param_space_dims", []))
-            and isinstance(d.get("grassmannian"), list)
-            and len(d.get("grassmannian", [])) == 2
-            and all(_is_int(v) for v in d.get("grassmannian", []))
-        )
-        if not ok:
+            and _int_list(d.get("param_space_dims"))
+            and _int_list(d.get("grassmannian"))
+            and len(d["grassmannian"]) == 2
+        ):
             raise ScenarioConfigError(
                 f"{origin}: field 'dominance' needs 'param_space_dims' "
                 "(integers) and 'grassmannian' [k, n]"
@@ -306,291 +331,274 @@ def list_scenarios() -> tuple[str, ...]:
     return BUILTIN_SCENARIOS
 
 
-def _build_surface(entry) -> PolarizedSurface:
-    if isinstance(entry, str):
-        return SURFACE_BUILDERS[entry]()
-    return PolarizedSurface.from_json_dict(entry)
+@dataclass
+class _Run:
+    cfg: dict
+    bound: int | None
+    computed: dict = field(default_factory=dict)
+    narrative: list[str] = field(default_factory=list)
+    certificates: dict = field(default_factory=dict)
+    products: dict = field(default_factory=dict)  # stage name -> what it returned
 
 
-def _run_projection(cfg: dict, bound_override: int | None):
-    computed: dict = {}
-    narrative: list[str] = []
-    certificates: dict = {}
+class _Stage(NamedTuple):
+    name: str  # a stage that needs this one is skipped as "<name> unavailable"
+    run: Callable[[_Run], object]  # writes its part of the report, returns a product
+    keys: Callable[[dict], list[str]]  # its computed keys, ERROR where unwritten on failure
+    needs: str | None = None
+    block: str | None = None  # the optional config block that turns the stage on
 
-    def fail(keys, exc) -> None:
-        msg = f"ERROR: {type(exc).__name__}: {exc}"
-        for k in keys:
-            computed[k] = msg
-        narrative.append(msg)
 
-    surface = None
+def _surface(run: _Run):
+    spec = run.cfg["surface"]
+    if isinstance(spec, str):
+        surface = SURFACE_BUILDERS[spec]()
+    else:
+        surface = PolarizedSurface.from_json_dict(spec)
     table: dict[str, DivisorClass] = {}
-    try:
-        surface = _build_surface(cfg["surface"])
-        for entry in cfg["classes"]:
+    for i, entry in enumerate(run.cfg["classes"]):
+        try:
             table[entry["label"]] = surface.lattice(entry["coeffs"])
-        computed["degree"] = surface.degree
-        computed["sectional_genus"] = surface.sectional_genus
-        narrative.append(
-            f"surface {surface.name}: degree {surface.degree}, "
-            f"sectional genus {surface.sectional_genus}."
-        )
-    except Exception as exc:
-        fail(("degree", "sectional_genus"), exc)
-
-    inc_labels = cfg["incidence_classes"]
-    model = None
-    model_keys = ["double_curve_degree", "double_point_class"] + [
-        f"incidence.{lab}" for lab in inc_labels
-    ]
-    if surface is not None:
-        try:
-            model = project_to_p3(
-                surface,
-                [table[lab] for lab in inc_labels],
-                deg_gamma=cfg.get("deg_gamma"),
-            )
-            computed["double_curve_degree"] = model.deg_gamma
-            computed["double_point_class"] = list(model.gamma_w.coeffs)
-            for lab in inc_labels:
-                computed[f"incidence.{lab}"] = plane_image_incidence(model, table[lab])
-            narrative.append(
-                f"double curve degree {model.deg_gamma}; double point class "
-                f"{list(model.gamma_w.coeffs)}."
-            )
-        except Exception as exc:
-            fail(model_keys, exc)
-    else:
-        fail(model_keys, RuntimeError("surface unavailable"))
-
-    ray_keys = (
-        [f"st_dot.{lab}" for lab in cfg["ray_probes"]]
-        + [f"kt_dot.{lab}" for lab in cfg["ray_probes"]]
-        + ["nef", "ray_kind", "fano", "degree_squared",
-           "four_times_double_curve_degree"]
+        except ValueError as exc:
+            raise ScenarioConfigError(
+                f"field 'classes[{i}].coeffs' of {entry['label']!r}: {exc}"
+            ) from exc
+    run.computed["degree"] = surface.degree
+    run.computed["sectional_genus"] = surface.sectional_genus
+    run.narrative.append(
+        f"surface {surface.name}: degree {surface.degree}, "
+        f"sectional genus {surface.sectional_genus}."
     )
-    if cfg["verdict_rule"] == "good_model":
-        ray_keys.append("threshold_positive")
-    verdict_kind = None
-    if model is not None:
-        try:
-            t = BlowupThreefold(model)
-            for lab in cfg["ray_probes"]:
-                s = st_dot(t, table[lab])
-                k = kt_dot(t, table[lab])
-                computed[f"st_dot.{lab}"] = s
-                computed[f"kt_dot.{lab}"] = k
-                narrative.append(
-                    f"ray numbers on {lab}: surface degree {s}, canonical degree {k}."
-                )
-            cone = [table[lab] for lab in cfg["curve_cone"]]
-            computed["nef"] = is_nef_on(t, cone)
-            cd = cfg.get("contracting_divisor")
-            rv = classify_second_ray(
-                t,
-                table[cfg["second_ray"]],
-                cone=cone,
-                contracting_divisor=(cd["h"], cd["e"]) if cd else None,
-            )
-            verdict_kind = rv.kind
-            computed["ray_kind"] = rv.kind.value
-            certificates["second_ray"] = rv.to_json_dict()
-            narrative.append(
-                f"second ray {cfg['second_ray']}: classified {rv.kind.value}."
-            )
-            if rv.assumption:
-                narrative.append(f"assumption: {rv.assumption}")
-            computed["fano"] = fano_check(t, [table[lab] for lab in cfg["fano_rays"]])
-            computed["degree_squared"] = model.deg_s**2
-            computed["four_times_double_curve_degree"] = 4 * model.deg_gamma
-            if cfg["verdict_rule"] == "good_model":
-                thresh = computed["nef"] is True and rv.kind is RayKind.BIRATIONAL_CONTRACTION_FANO
-                computed["threshold_positive"] = thresh
-                if thresh:
-                    narrative.append(
-                        "nef with a birational second contraction: the surface "
-                        "class sits in the interior of the effective region, so "
-                        "its positivity threshold is strictly positive."
-                    )
-        except Exception as exc:
-            fail([k for k in ray_keys if k not in computed], exc)
-    else:
-        fail(ray_keys, RuntimeError("projection model unavailable"))
+    return surface, table
 
-    if model is not None:
-        try:
-            cert = negativity_certificate(model.deg_s, model.deg_gamma)
-            computed["negativity"] = cert.verdict
-            certificates["negativity"] = cert.to_json_dict()
-            narrative.append(
-                f"log Kodaira degree test: {cert.inequality} -> {cert.verdict}."
-            )
-        except Exception as exc:
-            fail(("negativity",), exc)
-    else:
-        fail(("negativity",), RuntimeError("projection model unavailable"))
 
-    if "obstruction" in cfg:
-        ob_keys = ("obstruction_status", "obstruction_final_line")
-        if model is not None and surface is not None:
-            try:
-                sz = make_sz()
-                if surface.lattice != sz.f0:
-                    raise ScenarioConfigError(
-                        "obstruction bookkeeping is defined for the quadric "
-                        f"model, not {surface.lattice.name!r}"
-                    )
-                bound = bound_override
-                if bound is None:
-                    bound = cfg["obstruction"].get("bound", 20)
-                s_pull = model.deg_s * sz.from_f0.pullback(surface.polarization)
-                e_total = sz.from_f0.pullback(model.gamma_w)
-                h_pull = sz.from_plane.pullback(sz.plane((1,)))
-                system = build_obstruction_system(
-                    sz, s_pull, h_pull, e_total, deg_s_mult=DOUBLE_LOCUS_MULTIPLICITY
-                )
-                cert = solve_nonneg(system, bound=bound)
-                computed["obstruction_status"] = cert.status
-                final = cert.final_line_solved
-                if final is None and cert.chain:
-                    final = cert.chain[-1].render(system.unknowns)
-                computed["obstruction_final_line"] = final or ""
-                d = cert.to_json_dict()
-                d["transcript"] = cert.transcript()
-                certificates["obstruction"] = d
-                narrative.append(f"restriction system: {cert.status}.")
-                if final:
-                    narrative.append(f"final derived line: {final}.")
-                narrative.append(_NO_SEARCH_NOTE)
-            except Exception as exc:
-                fail(ob_keys, exc)
-        else:
-            fail(ob_keys, RuntimeError("projection model unavailable"))
+def _model(run: _Run):
+    surface, table = run.products["surface"]
+    model = project_to_p3(
+        surface,
+        [table[lab] for lab in run.cfg["incidence_classes"]],
+        deg_gamma=run.cfg.get("deg_gamma"),
+    )
+    run.computed["double_curve_degree"] = model.deg_gamma
+    run.computed["double_point_class"] = list(model.gamma_w.coeffs)
+    for lab in run.cfg["incidence_classes"]:
+        run.computed[f"incidence.{lab}"] = plane_image_incidence(model, table[lab])
+    run.narrative.append(
+        f"double curve degree {model.deg_gamma}; double point class "
+        f"{list(model.gamma_w.coeffs)}."
+    )
+    return model
 
-    rule = cfg["verdict_rule"]
-    if rule == "obstruction":
-        ok = (
-            computed.get("negativity") == "NEGATIVE_CERTIFIED"
-            and computed.get("obstruction_status") == "INFEASIBLE"
+
+def _ray_keys(cfg: dict) -> list[str]:
+    keys = [f"{dot}.{lab}" for dot in ("st_dot", "kt_dot") for lab in cfg["ray_probes"]]
+    keys += ["nef", "ray_kind", "fano", "degree_squared", "four_times_double_curve_degree"]
+    # the threshold is reported only under a rule that decides on it
+    if "threshold_positive" in _VERDICT_RULES["projection"][cfg["verdict_rule"]].requires:
+        keys.append("threshold_positive")
+    return keys
+
+
+def _rays(run: _Run) -> None:
+    cfg, computed, narrative = run.cfg, run.computed, run.narrative
+    _, table = run.products["surface"]
+    model = run.products["projection model"]
+    t = BlowupThreefold(model)
+    for lab in cfg["ray_probes"]:
+        s = st_dot(t, table[lab])
+        k = kt_dot(t, table[lab])
+        computed[f"st_dot.{lab}"] = s
+        computed[f"kt_dot.{lab}"] = k
+        narrative.append(
+            f"ray numbers on {lab}: surface degree {s}, canonical degree {k}."
         )
-        verdict = "NOT_CREMONA_EQUIVALENT_TO_PLANE" if ok else "INCONCLUSIVE"
-    elif rule == "good_model":
-        ok = (
-            computed.get("nef") is True
-            and computed.get("fano") is True
-            and computed.get("threshold_positive") is True
+    cone = [table[lab] for lab in cfg["curve_cone"]]
+    computed["nef"] = is_nef_on(t, cone)
+    cd = cfg.get("contracting_divisor")
+    rv = classify_second_ray(
+        t,
+        table[cfg["second_ray"]],
+        cone=cone,
+        contracting_divisor=(cd["h"], cd["e"]) if cd else None,
+    )
+    computed["ray_kind"] = rv.kind.value
+    run.certificates["second_ray"] = rv.to_json_dict()
+    narrative.append(f"second ray {cfg['second_ray']}: classified {rv.kind.value}.")
+    if rv.assumption:
+        narrative.append(f"assumption: {rv.assumption}")
+    computed["fano"] = fano_check(t, [table[lab] for lab in cfg["fano_rays"]])
+    computed["degree_squared"] = model.deg_s**2
+    computed["four_times_double_curve_degree"] = 4 * model.deg_gamma
+    if "threshold_positive" in _ray_keys(cfg):
+        thresh = computed["nef"] is True and rv.kind is RayKind.BIRATIONAL_CONTRACTION_FANO
+        computed["threshold_positive"] = thresh
+        if thresh:
+            narrative.append(
+                "nef with a birational second contraction: the surface "
+                "class sits in the interior of the effective region, so "
+                "its positivity threshold is strictly positive."
+            )
+
+
+def _negativity(run: _Run) -> None:
+    model = run.products["projection model"]
+    cert = negativity_certificate(model.deg_s, model.deg_gamma)
+    run.computed["negativity"] = cert.verdict
+    run.certificates["negativity"] = cert.to_json_dict()
+    run.narrative.append(
+        f"log Kodaira degree test: {cert.inequality} -> {cert.verdict}."
+    )
+
+
+def _obstruction(run: _Run) -> None:
+    model = run.products["projection model"]
+    sz = make_sz()
+    if model.surface.lattice != sz.f0:
+        raise ScenarioConfigError(
+            "obstruction bookkeeping is defined for the quadric "
+            f"model, not {model.surface.lattice.name!r}"
         )
-        verdict = "CE_TO_PLANE_VIA_GOOD_MODEL" if ok else "INCONCLUSIVE"
-    else:
-        ok = verdict_kind is RayKind.FIBRATION and computed.get("fano") is True
-        verdict = "CE_TO_PLANE_VIA_FIBRATION" if ok else "INCONCLUSIVE"
-    computed["final_verdict"] = verdict
-    narrative.append(f"verdict: {verdict}.")
-    return computed, narrative, certificates
+    bound = run.bound
+    if bound is None:
+        bound = run.cfg["obstruction"].get("bound", 20)
+    s_pull = model.deg_s * sz.from_f0.pullback(model.surface.polarization)
+    e_total = sz.from_f0.pullback(model.gamma_w)
+    h_pull = sz.from_plane.pullback(sz.plane((1,)))
+    system = build_obstruction_system(
+        sz, s_pull, h_pull, e_total, deg_s_mult=DOUBLE_LOCUS_MULTIPLICITY
+    )
+    cert = solve_nonneg(system, bound=bound)
+    run.computed["obstruction_status"] = cert.status
+    final = cert.final_line_solved
+    if final is None and cert.chain:
+        final = cert.chain[-1].render(system.unknowns)
+    run.computed["obstruction_final_line"] = final or ""
+    run.certificates["obstruction"] = {**cert.to_json_dict(), "transcript": cert.transcript()}
+    run.narrative.append(f"restriction system: {cert.status}.")
+    if final:
+        run.narrative.append(f"final derived line: {final}.")
+    run.narrative.append(_NO_SEARCH_NOTE)
 
 
-def _run_family(cfg: dict):
-    computed: dict = {}
-    narrative: list[str] = []
-    certificates: dict = {}
+def _monoid(run: _Run) -> None:
+    m = run.cfg["monoid"]
+    flag = monoid_ce_predicate(m["degree"], m["point_multiplicity"])
+    run.computed["monoid_ce"] = flag
+    run.computed["boundary_verdict"] = "CE_TO_PLANE_VIA_MONOID" if flag else "INCONCLUSIVE"
+    run.narrative.append(
+        f"boundary member: degree {m['degree']} with a point of "
+        f"multiplicity {m['point_multiplicity']}; monoid criterion "
+        f"{'holds' if flag else 'fails'}."
+    )
 
-    def fail(keys, exc) -> None:
-        msg = f"ERROR: {type(exc).__name__}: {exc}"
-        for k in keys:
-            computed[k] = msg
-        narrative.append(msg)
 
-    if "monoid" in cfg:
-        try:
-            m = cfg["monoid"]
-            flag = monoid_ce_predicate(m["degree"], m["point_multiplicity"])
-            computed["monoid_ce"] = flag
-            computed["boundary_verdict"] = (
-                "CE_TO_PLANE_VIA_MONOID" if flag else "INCONCLUSIVE"
-            )
-            narrative.append(
-                f"boundary member: degree {m['degree']} with a point of "
-                f"multiplicity {m['point_multiplicity']}; monoid criterion "
-                f"{'holds' if flag else 'fails'}."
-            )
-        except Exception as exc:
-            fail(("monoid_ce", "boundary_verdict"), exc)
-    if "grassmannian" in cfg:
-        try:
-            k, n = cfg["grassmannian"]
-            computed["grassmannian_dim"] = grassmannian_dim(k, n)
-            narrative.append(
-                f"projection centers vary in G({k},{n}), dimension "
-                f"{computed['grassmannian_dim']}."
-            )
-        except Exception as exc:
-            fail(("grassmannian_dim",), exc)
-    if "dominance" in cfg:
-        try:
-            d = cfg["dominance"]
-            k, n = d["grassmannian"]
-            count = dominance_count(d["param_space_dims"], k, n)
-            computed["dimension_lhs"] = count.lhs
-            computed["dimension_rhs"] = count.rhs
-            computed["dominant_possible"] = count.dominant_possible
-            certificates["dimension_count"] = count.to_json_dict()
-            narrative.append(
-                f"dimension count: {count.lhs} vs dim G({k},{n}) = {count.rhs}; "
-                f"dominance {'possible' if count.dominant_possible else 'ruled out'}."
-            )
-        except Exception as exc:
-            fail(("dimension_lhs", "dimension_rhs", "dominant_possible"), exc)
+def _grassmannian(run: _Run) -> None:
+    k, n = run.cfg["grassmannian"]
+    dim = grassmannian_dim(k, n)
+    run.computed["grassmannian_dim"] = dim
+    run.narrative.append(f"projection centers vary in G({k},{n}), dimension {dim}.")
+
+
+def _dominance(run: _Run) -> None:
+    d = run.cfg["dominance"]
+    k, n = d["grassmannian"]
+    count = dominance_count(d["param_space_dims"], k, n)
+    run.computed["dimension_lhs"] = count.lhs
+    run.computed["dimension_rhs"] = count.rhs
+    run.computed["dominant_possible"] = count.dominant_possible
+    run.certificates["dimension_count"] = count.to_json_dict()
+    run.narrative.append(
+        f"dimension count: {count.lhs} vs dim G({k},{n}) = {count.rhs}; "
+        f"dominance {'possible' if count.dominant_possible else 'ruled out'}."
+    )
+
+
+def _notes(run: _Run) -> None:
+    cfg = run.cfg
     if "flat_limit" in cfg:
-        fl = cfg["flat_limit"]
-        narrative.append(
-            f"flat limit metadata: {json.dumps(fl, sort_keys=True)} (recorded, "
-            "not computed)."
+        run.narrative.append(
+            f"flat limit metadata: {json.dumps(cfg['flat_limit'], sort_keys=True)} "
+            "(recorded, not computed)."
         )
-    if cfg.get("generic_member"):
-        narrative.append(
-            f"generic member verdict delegated to scenario "
-            f"{cfg['generic_member']!r}."
-        )
-    if cfg.get("special_member"):
-        narrative.append(
-            f"special member verdict delegated to scenario "
-            f"{cfg['special_member']!r}."
-        )
-    if cfg["verdict_rule"] == "not_open":
-        ok = computed.get("monoid_ce") is True
-        verdict = "CE_TO_PLANE_NOT_OPEN" if ok else "INCONCLUSIVE"
-    else:
-        ok = computed.get("dominant_possible") is True
-        verdict = "CE_TO_PLANE_NOT_CLOSED" if ok else "INCONCLUSIVE"
-        if ok:
-            narrative.append(
-                "assumption: generic finiteness of the parameterization is "
-                "recorded, not verified."
+    for role in ("generic", "special"):
+        if cfg.get(f"{role}_member"):
+            run.narrative.append(
+                f"{role} member verdict delegated to scenario "
+                f"{cfg[f'{role}_member']!r}."
             )
-    computed["family_verdict"] = verdict
-    narrative.append(f"verdict: {verdict}.")
-    return computed, narrative, certificates
+
+
+_STAGES = {
+    "projection": (
+        _Stage("surface", _surface, lambda cfg: ["degree", "sectional_genus"]),
+        _Stage("projection model", _model,
+               lambda cfg: ["double_curve_degree", "double_point_class"]
+               + [f"incidence.{lab}" for lab in cfg["incidence_classes"]],
+               needs="surface"),
+        _Stage("rays", _rays, _ray_keys, needs="projection model"),
+        _Stage("negativity", _negativity, lambda cfg: ["negativity"],
+               needs="projection model"),
+        _Stage("obstruction", _obstruction,
+               lambda cfg: ["obstruction_status", "obstruction_final_line"],
+               needs="projection model", block="obstruction"),
+    ),
+    "family": (
+        _Stage("monoid", _monoid, lambda cfg: ["monoid_ce", "boundary_verdict"],
+               block="monoid"),
+        _Stage("grassmannian", _grassmannian, lambda cfg: ["grassmannian_dim"],
+               block="grassmannian"),
+        _Stage("dominance", _dominance,
+               lambda cfg: ["dimension_lhs", "dimension_rhs", "dominant_possible"],
+               block="dominance"),
+        _Stage("notes", _notes, lambda cfg: []),
+    ),
+}
 
 
 def run_scenario(scenario: Scenario, bound: int | None = None) -> ScenarioReport:
     cfg = scenario.config
-    if scenario.kind == "projection":
-        computed, narrative, certificates = _run_projection(cfg, bound)
-    else:
-        computed, narrative, certificates = _run_family(cfg)
+    run = _Run(cfg, bound)
+    stages = [s for s in _STAGES[scenario.kind] if s.block is None or s.block in cfg]
+
+    def fail(keys, exc) -> None:
+        msg = f"ERROR: {type(exc).__name__}: {exc}"
+        for k in keys:
+            run.computed.setdefault(k, msg)
+        run.narrative.append(msg)
+
+    for stage in stages:
+        try:
+            if stage.needs is not None and stage.needs not in run.products:
+                raise RuntimeError(f"{stage.needs} unavailable")
+            run.products[stage.name] = stage.run(run)
+        except Exception as exc:
+            fail(stage.keys(cfg), exc)
+
+    rule = _VERDICT_RULES[scenario.kind][cfg["verdict_rule"]]
+    decided = all(
+        type(run.computed.get(k)) is type(v) and run.computed[k] == v
+        for k, v in rule.requires.items()
+    )
+    verdict = rule.verdict if decided else "INCONCLUSIVE"
+    if decided and rule.note:
+        run.narrative.append(rule.note)
+    run.computed[rule.key] = verdict
+    run.narrative.append(f"verdict: {verdict}.")
+
     expected = cfg["expected"]
     verdicts = {
-        key: "PASS" if key in computed and computed[key] == entry["value"] else "FAIL"
+        key: "PASS" if key in run.computed and run.computed[key] == entry["value"] else "FAIL"
         for key, entry in expected.items()
     }
-    overall = "PASS" if verdicts and all(v == "PASS" for v in verdicts.values()) else "FAIL"
+    # a stage that raised or was skipped left no product, and fails the report
+    passed = len(run.products) == len(stages) and all(v == "PASS" for v in verdicts.values())
     return ScenarioReport(
         name=scenario.name,
         kind=scenario.kind,
-        computed=computed,
+        computed=run.computed,
         expected=expected,
         verdicts=verdicts,
-        overall=overall,
-        narrative=tuple(narrative),
-        certificates=certificates,
+        overall="PASS" if passed else "FAIL",
+        narrative=tuple(run.narrative),
+        certificates=run.certificates,
     )

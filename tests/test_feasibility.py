@@ -217,6 +217,22 @@ def test_infeasible_by_negated_row():
     assert cert.chain[0].coeffs == (1, 2) and cert.chain[0].rhs == -4
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        S(("a", "b"), ((-1, 3), -4), ((0, 0), 2)),
+        S(("a", "b"), ((2, 2), 2), ((3, 3), 6), ((0, -3), -6)),
+        S(("a",), ((0,), 2)),
+    ],
+)
+def test_zero_row_with_nonzero_right_side_is_infeasible(system):
+    cert = solve_nonneg(system)
+    assert cert.status == "INFEASIBLE"
+    final = cert.chain[-1]
+    assert all(c == 0 for c in final.coeffs) and final.rhs < 0
+    replay_chain(system, cert.chain)
+
+
 def test_unknown_up_to_bound():
     cert = solve_nonneg(S(("x", "y"), ((1, -1), 25)), bound=20)
     assert cert.status == "UNKNOWN_UP_TO_BOUND"

@@ -162,6 +162,48 @@ def test_broken_step_is_captured_not_raised():
     assert report.computed["degree"] == 6
 
 
+def test_bad_class_fails_the_surface_stage_by_field():
+    cfg = json.loads(json.dumps(builtin_scenario("dp6").config))
+    i = next(i for i, e in enumerate(cfg["classes"]) if e["label"] == "l23")
+    cfg["classes"][i]["coeffs"].append(0)  # one coefficient too many
+    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    assert report.overall == "FAIL"
+    assert report.computed["degree"] == (
+        f"ERROR: ScenarioConfigError: field 'classes[{i}].coeffs' of 'l23': "
+        "class has 5 coefficients on a 4-dimensional lattice"
+    )
+    # no stage runs on a half-built class table
+    assert report.computed["double_point_class"] == "ERROR: RuntimeError: surface unavailable"
+    for key in ("nef", "negativity"):
+        assert report.computed[key] == "ERROR: RuntimeError: projection model unavailable"
+    assert report.computed["final_verdict"] == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize(
+    "name, block",
+    [
+        ("bordiga", {"obstruction": {"bound": 5}}),
+        ("family-open", {"dominance": {"param_space_dims": [1, 2], "grassmannian": [7, 3]}}),
+    ],
+    ids=["bordiga-obstruction", "family-open-dominance"],
+)
+def test_stage_error_fails_report_without_a_pinned_key(name, block):
+    cfg = json.loads(json.dumps(builtin_scenario(name).config))
+    cfg.update(block)
+    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    # every pinned value still matches; the error sits in unpinned keys only
+    assert all(v == "PASS" for v in report.verdicts.values())
+    assert any(line.startswith("ERROR: ") for line in report.narrative)
+    assert report.overall == "FAIL"
+
+
+def test_verdict_rule_needs_true_not_one(monkeypatch):
+    monkeypatch.setattr("cremeq.scenarios.fano_check", lambda t, rays: 1)
+    report = run_scenario(builtin_scenario("dp6"))
+    assert report.computed["fano"] == 1
+    assert report.computed["final_verdict"] == "INCONCLUSIVE"
+
+
 def test_sextic_narrative_mentions_certificate_not_search():
     report = run_scenario(builtin_scenario("sextic-ruled"))
     joined = "\n".join(report.narrative)
@@ -255,6 +297,22 @@ def test_cli_check_all(capsys):
     assert main(["check-all"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == [f"{name}: PASS" for name in BUILTIN_SCENARIOS]
+
+
+def test_cli_check_all_out_writes_every_report(tmp_path, capsys):
+    assert main(["check-all"]) == 0
+    plain = capsys.readouterr().out
+    out = tmp_path / "reports"
+    assert main(["check-all", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == plain
+    golden = Path(__file__).parent / "golden"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{name}.{ext}" for name in BUILTIN_SCENARIOS for ext in ("json", "md")
+    )
+    for name in BUILTIN_SCENARIOS:
+        assert (out / f"{name}.json").read_bytes() == (golden / f"{name}.json").read_bytes()
+        report = run_scenario(builtin_scenario(name))
+        assert (out / f"{name}.md").read_text() == report.to_markdown()
 
 
 def test_cli_bound_flag_accepted(capsys):
