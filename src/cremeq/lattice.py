@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .linalg import invert_unimodular, solve_exact
+from .linalg import invert_unimodular, mat_mul, mat_vec, solve_exact
 
 
 class LatticeMismatchError(ValueError):
@@ -257,21 +257,17 @@ class BlowupMap:
         nt, ns = self.target.dim, self.source.dim
         if len(self.matrix) != nt or any(len(r) != ns for r in self.matrix):
             raise ValueError("pullback matrix has wrong shape")
-        # isometry: P^T G_target P == G_source, checked entrywise
-        cols = [self.pullback(self.source(tuple(int(i == j) for i in range(ns))))
-                for j in range(ns)]
-        for i in range(ns):
-            for j in range(ns):
-                if pair(cols[i], cols[j]) != self.source.gram[i][j]:
-                    raise ValueError("pullback is not an isometry")
+        # row i of P^T G_target pairs column i of P (a pullback) with a class
+        pt_g = mat_mul(tuple(zip(*self.matrix)), self.target.gram)
+        if mat_mul(pt_g, self.matrix) != self.source.gram:
+            raise ValueError("pullback is not an isometry")
         for e in self.exceptional_classes:
             if e.lattice != self.target:
                 raise LatticeMismatchError("exceptional class on wrong lattice")
             if pair(e, e) != -1:
                 raise ValueError("exceptional class must have self-intersection -1")
-            for col in cols:
-                if pair(col, e) != 0:
-                    raise ValueError("exceptional class must be orthogonal to pullbacks")
+            if any(mat_vec(pt_g, e.coeffs)):
+                raise ValueError("exceptional class must be orthogonal to pullbacks")
         k = self.pullback(self.source.canonical)
         for e in self.exceptional_classes:
             k = k + e
@@ -283,9 +279,7 @@ class BlowupMap:
             raise LatticeMismatchError(
                 f"pullback expects a class on {self.source.name!r}"
             )
-        return self.target(
-            tuple(sum(r * v for r, v in zip(row, c.coeffs)) for row in self.matrix)
-        )
+        return self.target(mat_vec(self.matrix, c.coeffs))
 
 
 def blow_up_point(L: IntersectionLattice, label: str | None = None):
@@ -337,16 +331,12 @@ class BasisChange:
     def to_new(self, c: DivisorClass) -> DivisorClass:
         if c.lattice != self.old:
             raise LatticeMismatchError("class not on the source presentation")
-        return self.new(
-            tuple(sum(r * v for r, v in zip(row, c.coeffs)) for row in self.inverse)
-        )
+        return self.new(mat_vec(self.inverse, c.coeffs))
 
     def to_old(self, c: DivisorClass) -> DivisorClass:
         if c.lattice != self.new:
             raise LatticeMismatchError("class not on the target presentation")
-        return self.old(
-            tuple(sum(r * v for r, v in zip(row, c.coeffs)) for row in self.matrix)
-        )
+        return self.old(mat_vec(self.matrix, c.coeffs))
 
 
 def change_basis(
@@ -365,28 +355,22 @@ def change_basis(
     n = L.dim
     if len(new_basis) != n or len(labels) != n:
         raise ValueError("need exactly dim basis vectors and labels")
-    A = [[new_basis[j][i] for j in range(n)] for i in range(n)]  # columns
+    for j, v in enumerate(new_basis):
+        if len(v) != n:
+            raise ValueError(f"basis vector {j} has {len(v)} coordinates, need {n}")
+    A = tuple(zip(*new_basis))  # columns = new basis vectors
     A_inv = invert_unimodular(A)
-    gram2 = tuple(
-        tuple(
-            pair(L(new_basis[i]), L(new_basis[j])) for j in range(n)
-        )
-        for i in range(n)
-    )
-    k2 = tuple(
-        sum(A_inv[i][j] * L.canonical_coeffs[j] for j in range(n)) for i in range(n)
-    )
     L2 = IntersectionLattice(
         name=name or f"{L.name}#rebased",
         basis=labels,
-        gram=gram2,
-        canonical_coeffs=k2,
+        gram=mat_mul(mat_mul(new_basis, L.gram), A),
+        canonical_coeffs=mat_vec(A_inv, L.canonical_coeffs),
         effectivity=effectivity,
         generators=generators,
     )
     return BasisChange(
         old=L,
         new=L2,
-        matrix=tuple(tuple(row) for row in A),
+        matrix=A,
         inverse=tuple(tuple(row) for row in A_inv),
     )

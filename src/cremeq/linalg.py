@@ -2,13 +2,31 @@
 
 Everything in this package that solves a linear system does it here, with
 one forward pass of Bareiss fraction-free elimination on Python ints
-(E. H. Bareiss, Math. Comp. 22, 1968).  No floats anywhere: the certificates
-downstream are only worth something if every intermediate value is exact.
+(E. H. Bareiss, Math. Comp. 22, 1968).  Integer matrix products live here
+too: gram matrices A^T G A, pullbacks and basis changes are all one
+`mat_mul` or `mat_vec`.  No floats anywhere: the certificates downstream are
+only worth something if every intermediate value is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
+
+
+def mat_vec(a, v) -> tuple[int, ...]:
+    """a @ v, for a matrix given as a sequence of rows."""
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
+def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    """a @ b, for matrices given as sequences of rows.
+
+    Tuples of tuples, so a product can serve directly as the gram matrix of a
+    frozen lattice.
+    """
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def eliminate(

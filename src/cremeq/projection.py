@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import DivisorClass, LatticeMismatchError, pair
-from .linalg import solve_exact
+from .linalg import mat_vec, solve_exact
 from .surfaces import PolarizedSurface
 
 
@@ -86,23 +86,14 @@ def double_point_class(
     IncidenceContradictionError, an underdetermined one IncidenceRankError.
     """
     lat = surface.lattice
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for c, k in incidences:
-        if c.lattice != lat:
-            raise LatticeMismatchError("incidence class on the wrong lattice")
-        rows.append([
-            sum(lat.gram[i][j] * c.coeffs[j] for j in range(lat.dim))
-            for i in range(lat.dim)
-        ])
-        rhs.append(k)
-    h = surface.polarization
-    rows.append([
-        sum(lat.gram[i][j] * h.coeffs[j] for j in range(lat.dim))
-        for i in range(lat.dim)
-    ])
-    rhs.append(2 * deg_gamma)
-    status, xs = solve_exact(rows, rhs)
+    if any(c.lattice != lat for c, _ in incidences):
+        raise LatticeMismatchError("incidence class on the wrong lattice")
+    # pair(X, C) = (G C) . X, since the gram matrix G is symmetric
+    constraints = [*incidences, (surface.polarization, 2 * deg_gamma)]
+    status, xs = solve_exact(
+        [mat_vec(lat.gram, c.coeffs) for c, _ in constraints],
+        [k for _, k in constraints],
+    )
     if status == "inconsistent":
         raise IncidenceContradictionError(
             "incidence counts and double-curve degree admit no common class"

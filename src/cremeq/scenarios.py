@@ -208,6 +208,13 @@ def _validate(cfg: dict, origin: str) -> None:
 
 
 def _validate_projection(cfg: dict, origin: str, need) -> None:
+    def label(val, field: str) -> str:
+        if not isinstance(val, str) or not val:
+            raise ScenarioConfigError(
+                f"{origin}: field '{field}' must be a nonempty string label, got {val!r}"
+            )
+        return val
+
     surface = need("surface")
     if isinstance(surface, str):
         if surface not in SURFACE_BUILDERS:
@@ -232,19 +239,19 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             raise ScenarioConfigError(
                 f"{origin}: field 'classes[{i}].coeffs' must be a list of integers"
             )
-        labels.add(entry["label"])
+        labels.add(label(entry["label"], f"classes[{i}].label"))
     for field in ("incidence_classes", "curve_cone", "ray_probes", "fano_rays"):
         vals = need(field)
         if not isinstance(vals, list) or not vals:
             raise ScenarioConfigError(
                 f"{origin}: field '{field}' must be a nonempty list of labels"
             )
-        for lab in vals:
-            if lab not in labels:
+        for k, lab in enumerate(vals):
+            if label(lab, f"{field}[{k}]") not in labels:
                 raise ScenarioConfigError(
                     f"{origin}: field '{field}' references unknown label {lab!r}"
                 )
-    ray = need("second_ray")
+    ray = label(need("second_ray"), "second_ray")
     if ray not in labels:
         raise ScenarioConfigError(
             f"{origin}: field 'second_ray' references unknown label {ray!r}"

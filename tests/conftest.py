@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, settings
 
 from cremeq.surfaces import make_bordiga, make_dp6, make_f0_sextic, make_sz
@@ -47,3 +48,15 @@ def random_symmetric_gram(rng: random.Random, n: int, span: int = 4):
         for j in range(i, n):
             g[i][j] = g[j][i] = rng.randint(-span, span)
     return tuple(tuple(row) for row in g)
+
+
+def random_unimodular(rng: random.Random, n: int):
+    """Row-shuffled product of unit lower and unit upper triangular matrices."""
+    def unit_triangular(below):
+        return sympy.Matrix(
+            n, n, lambda i, j: 1 if i == j else rng.randint(-2, 2) if (j < i) == below else 0
+        )
+
+    rows = (unit_triangular(True) * unit_triangular(False)).tolist()
+    rng.shuffle(rows)
+    return [[int(v) for v in row] for row in rows]

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_unimodular
 from cremeq.lattice import (
     AdjunctionParityError,
     BlowupMap,
@@ -16,6 +19,7 @@ from cremeq.lattice import (
     is_effective,
     pair,
 )
+from cremeq.surfaces import make_blowup_plane
 
 PLANE = IntersectionLattice(
     name="P2",
@@ -234,6 +238,26 @@ def test_blowup_map_rejects_non_isometry():
         )
 
 
+@pytest.mark.parametrize(
+    "exceptional, message",
+    [((0, 1, 1), "self-intersection -1"), ((1, 1, 1), "orthogonal to pullbacks")],
+)
+def test_blowup_map_rejects_bad_exceptional_class(exceptional, message):
+    target = IntersectionLattice(
+        name="P2+E1+E2",
+        basis=("L", "E1", "E2"),
+        gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+        canonical_coeffs=(-3, 1, 1),
+    )
+    with pytest.raises(ValueError, match=message):
+        BlowupMap(
+            source=PLANE,
+            target=target,
+            matrix=((1,), (0,), (0,)),
+            exceptional_classes=(target(exceptional),),
+        )
+
+
 def test_change_basis_roundtrip_preserves_pairing():
     lat2, _ = blow_up_point(PLANE)
     ch = change_basis(
@@ -253,6 +277,35 @@ def test_change_basis_roundtrip_preserves_pairing():
 def test_change_basis_rejects_non_unimodular():
     with pytest.raises(ValueError, match="unimodular"):
         change_basis(QUADRIC, [(2, 0), (0, 1)], ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "new_basis, message",
+    [
+        ([(1, 0), (1,)], "basis vector 1 has 1 coordinates"),
+        ([(1, 0, 5), (0, 1)], "basis vector 0 has 3 coordinates"),
+    ],
+)
+def test_change_basis_rejects_basis_vector_of_wrong_length(new_basis, message):
+    with pytest.raises(ValueError, match=message):
+        change_basis(QUADRIC, new_basis, ("a", "b"))
+
+
+@pytest.mark.parametrize("rank", range(1, 13))
+def test_change_basis_matches_pairwise_gram(rank):
+    # the A^T G A product against one pair call per entry
+    rng = random.Random(2000 + rank)
+    L = make_blowup_plane(rank - 1, (7,) + (-1,) * (rank - 1)).lattice
+    for _ in range(2):
+        a = random_unimodular(rng, rank)
+        new_basis = [tuple(row[j] for row in a) for j in range(rank)]
+        bc = change_basis(L, new_basis, tuple(f"B{j}" for j in range(rank)))
+        olds = [L(b) for b in new_basis]
+        assert bc.new.gram == tuple(tuple(pair(u, v) for v in olds) for u in olds)
+        news = [bc.new(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+        assert [pair(bc.new.canonical, x) for x in news] == [
+            pair(L.canonical, u) for u in olds
+        ]
 
 
 def test_lattice_json_roundtrip():

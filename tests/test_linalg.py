@@ -6,10 +6,13 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import random_unimodular
 from cremeq.linalg import (
     determinant,
     eliminate,
     invert_unimodular,
+    mat_mul,
+    mat_vec,
     solve_exact,
 )
 
@@ -138,18 +141,6 @@ def test_determinant_matches_cofactor_expansion(m):
     assert determinant(m) == by_hand
 
 
-def random_unimodular(rng, n):
-    """Row-shuffled product of unit lower and unit upper triangular matrices."""
-    def unit_triangular(below):
-        return sympy.Matrix(
-            n, n, lambda i, j: 1 if i == j else rng.randint(-2, 2) if (j < i) == below else 0
-        )
-
-    rows = (unit_triangular(True) * unit_triangular(False)).tolist()
-    rng.shuffle(rows)
-    return [[int(v) for v in row] for row in rows]
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_determinant_and_inverse_match_sympy(n):
     rng = random.Random(1000 + n)
@@ -160,3 +151,7 @@ def test_determinant_and_inverse_match_sympy(n):
         assert sympy.Matrix(invert_unimodular(a)) == oracle.inv()
         b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert determinant(b) == sympy.Matrix(b).det()
+        assert sympy.Matrix(mat_mul(a, b)) == oracle * sympy.Matrix(b)
+        wide = [row + [rng.randint(-4, 4)] for row in b]
+        assert sympy.Matrix(mat_mul(a, wide)) == oracle * sympy.Matrix(wide)
+        assert sympy.Matrix(mat_vec(a, b[0])) == oracle * sympy.Matrix(b[0])

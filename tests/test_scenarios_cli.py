@@ -72,6 +72,12 @@ def test_load_scenario_top_level_must_be_object(tmp_path):
         (lambda c: c.update(surface="unknown_builder"), "names no builder"),
         (lambda c: c.update(second_ray="nope"), "unknown label 'nope'"),
         (lambda c: c.update(curve_cone=["nope"]), "unknown label 'nope'"),
+        (lambda c: c.update(second_ray=["line_ruling"]), "field 'second_ray' must be"),
+        (
+            lambda c: c["classes"][0].update(label={"x": 1}),
+            "field 'classes\\[0\\].label' must be",
+        ),
+        (lambda c: c.update(curve_cone=[["a"]]), "field 'curve_cone\\[0\\]' must be"),
         (lambda c: c.update(deg_gamma="ten"), "field 'deg_gamma'"),
         (lambda c: c.update(obstruction={"bound": -1}), "field 'obstruction.bound'"),
         (lambda c: c.update(contracting_divisor={"h": 1}), "contracting_divisor"),
