@@ -29,14 +29,11 @@ from .lattice import (
     BasisChange,
     BlowupMap,
     DivisorClass,
-    EffectivityRule,
-    EffectivityRuleError,
     IntersectionLattice,
     LatticeMismatchError,
     blow_up_point,
     change_basis,
     genus,
-    is_effective,
     pair,
 )
 from .log_kodaira import NegativityCertificate, negativity_certificate
@@ -89,8 +86,6 @@ __all__ = [
     "ChainLine",
     "DimensionCount",
     "DivisorClass",
-    "EffectivityRule",
-    "EffectivityRuleError",
     "FeasibilityCertificate",
     "FeasibilitySystem",
     "IncidenceContradictionError",
@@ -122,7 +117,6 @@ __all__ = [
     "fano_check",
     "genus",
     "grassmannian_dim",
-    "is_effective",
     "is_nef_on",
     "kt_dot",
     "list_scenarios",

@@ -14,10 +14,9 @@ out.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
-from .linalg import invert_unimodular, mat_mul, mat_vec, solve_exact
+from .linalg import invert_unimodular, mat_mul, mat_vec
 
 
 class LatticeMismatchError(ValueError):
@@ -28,26 +27,12 @@ class AdjunctionParityError(ValueError):
     """C.(C+K) came out odd, so the genus formula does not apply."""
 
 
-class EffectivityRuleError(ValueError):
-    """Effectivity queried without a usable declared rule."""
-
-
-class EffectivityRule(enum.Enum):
-    # Effectivity is *declared*, never computed from geometry.  A lattice
-    # either ships with a rule or is_effective refuses to answer.
-    ALL_COORDS_NONNEG = "ALL_COORDS_NONNEG"
-    STANDARD_BLOWUP_CONE = "STANDARD_BLOWUP_CONE"
-    EXPLICIT_GENERATOR_LIST = "EXPLICIT_GENERATOR_LIST"
-
-
 @dataclass(frozen=True)
 class IntersectionLattice:
     name: str
     basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     canonical_coeffs: tuple[int, ...]
-    effectivity: EffectivityRule | None = None
-    generators: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.basis)
@@ -59,15 +44,6 @@ class IntersectionLattice:
                     raise ValueError("gram matrix must be symmetric")
         if len(self.canonical_coeffs) != n:
             raise ValueError("canonical class has wrong length")
-        if self.effectivity is EffectivityRule.EXPLICIT_GENERATOR_LIST:
-            if not self.generators:
-                raise EffectivityRuleError(
-                    f"lattice {self.name!r}: EXPLICIT_GENERATOR_LIST needs a "
-                    "nonempty generator list"
-                )
-            for g in self.generators:
-                if len(g) != n:
-                    raise ValueError("effectivity generator has wrong length")
 
     @property
     def dim(self) -> int:
@@ -81,28 +57,20 @@ class IntersectionLattice:
         return self(self.canonical_coeffs)
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "name": self.name,
             "basis": list(self.basis),
             "gram": [list(row) for row in self.gram],
             "canonical": list(self.canonical_coeffs),
-            "effectivity": self.effectivity.value if self.effectivity else None,
         }
-        if self.generators is not None:
-            d["generators"] = [list(g) for g in self.generators]
-        return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "IntersectionLattice":
-        rule = EffectivityRule(d["effectivity"]) if d.get("effectivity") else None
-        gens = d.get("generators")
         return IntersectionLattice(
             name=d["name"],
             basis=tuple(d["basis"]),
             gram=tuple(tuple(int(v) for v in row) for row in d["gram"]),
             canonical_coeffs=tuple(int(v) for v in d["canonical"]),
-            effectivity=rule,
-            generators=tuple(tuple(int(v) for v in g) for g in gens) if gens else None,
         )
 
 
@@ -145,22 +113,6 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "DivisorClass") -> int:
-        return pair(self, other)
-
-    def to_json_dict(self) -> dict:
-        return {"lattice": self.lattice.name, "coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json_dict(d: dict, lattice: IntersectionLattice) -> "DivisorClass":
-        if d["lattice"] != lattice.name:
-            raise LatticeMismatchError(
-                f"class serialized against {d['lattice']!r}, "
-                f"got lattice {lattice.name!r}"
-            )
-        return lattice(d["coeffs"])
-
-
 def pair(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection number a.b, an exact integer."""
     a._check_same(b)
@@ -185,56 +137,6 @@ def genus(c: DivisorClass) -> int:
     if t % 2 != 0:
         raise AdjunctionParityError(f"C.(C+K) = {t} is odd; genus undefined")
     return t // 2 + 1
-
-
-def is_effective(c: DivisorClass) -> bool:
-    """Evaluate the lattice's declared effectivity rule on c.
-
-    The rules are declarations about a chosen cone, not computed geometry:
-
-    * ALL_COORDS_NONNEG: the basis classes generate the declared cone.
-    * STANDARD_BLOWUP_CONE: lattice must be in the standard blow-up
-      presentation diag(d, -1, ..., -1); the cone is spanned by the pullback
-      polarization and the exceptionals, i.e. again coordinatewise >= 0.
-      This is a conservative subcone (strict transforms fall outside it).
-    * EXPLICIT_GENERATOR_LIST: c must be a nonnegative integer combination of
-      the declared generators.  Generators must be linearly independent, which
-      every shipped model satisfies; dependent lists are refused rather than
-      half-answered.
-    """
-    L = c.lattice
-    rule = L.effectivity
-    if rule is None:
-        raise EffectivityRuleError(
-            f"lattice {L.name!r} has no declared effectivity rule"
-        )
-    if rule is EffectivityRule.ALL_COORDS_NONNEG:
-        return all(v >= 0 for v in c.coeffs)
-    if rule is EffectivityRule.STANDARD_BLOWUP_CONE:
-        ok = all(
-            L.gram[i][j] == 0 for i in range(L.dim) for j in range(L.dim) if i != j
-        ) and all(L.gram[i][i] == -1 for i in range(1, L.dim))
-        if not ok:
-            raise EffectivityRuleError(
-                f"lattice {L.name!r} is not in the standard blow-up "
-                "presentation required by STANDARD_BLOWUP_CONE"
-            )
-        return all(v >= 0 for v in c.coeffs)
-    # EXPLICIT_GENERATOR_LIST
-    gens = L.generators
-    if not gens:  # construction already guards this; keep the check local too
-        raise EffectivityRuleError(f"lattice {L.name!r}: empty generator list")
-    matrix = [[g[i] for g in gens] for i in range(L.dim)]
-    status, xs = solve_exact(matrix, list(c.coeffs))
-    if status == "underdetermined":
-        raise EffectivityRuleError(
-            f"lattice {L.name!r}: effectivity generators are linearly "
-            "dependent; cannot decide membership with this rule"
-        )
-    if status == "inconsistent":
-        return False
-    assert xs is not None
-    return all(x.denominator == 1 and x >= 0 for x in xs)
 
 
 @dataclass(frozen=True)
@@ -285,9 +187,8 @@ class BlowupMap:
 def blow_up_point(L: IntersectionLattice, label: str | None = None):
     """Blow up a point: extend by an orthogonal (-1)-class E, K += E.
 
-    Returns (new_lattice, BlowupMap).  The new lattice carries *no* declared
-    effectivity rule; blowing up does not tell us which cone the caller wants
-    to assert afterwards.
+    Returns (new_lattice, BlowupMap).  The new basis label defaults to the
+    first unused E1, E2, ...
     """
     if label is None:
         taken = set(L.basis)
@@ -344,8 +245,6 @@ def change_basis(
     new_basis: list[tuple[int, ...]],
     labels: tuple[str, ...],
     name: str | None = None,
-    effectivity: EffectivityRule | None = None,
-    generators: tuple[tuple[int, ...], ...] | None = None,
 ) -> BasisChange:
     """Re-present L in the basis given by new_basis (vectors in old coords).
 
@@ -365,8 +264,6 @@ def change_basis(
         basis=labels,
         gram=mat_mul(mat_mul(new_basis, L.gram), A),
         canonical_coeffs=mat_vec(A_inv, L.canonical_coeffs),
-        effectivity=effectivity,
-        generators=generators,
     )
     return BasisChange(
         old=L,

@@ -256,8 +256,11 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
         raise ScenarioConfigError(
             f"{origin}: field 'second_ray' references unknown label {ray!r}"
         )
-    if "deg_gamma" in cfg and not _is_int(cfg["deg_gamma"]):
-        raise ScenarioConfigError(f"{origin}: field 'deg_gamma' must be an integer")
+    if "deg_gamma" in cfg and not (_is_int(cfg["deg_gamma"]) and cfg["deg_gamma"] >= 1):
+        raise ScenarioConfigError(
+            f"{origin}: field 'deg_gamma' must be a positive integer, "
+            f"got {cfg['deg_gamma']!r}"
+        )
     if "contracting_divisor" in cfg:
         cd = cfg["contracting_divisor"]
         if not _int_fields(cd, "h", "e"):
@@ -275,22 +278,34 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
 
 
 def _validate_family(cfg: dict, origin: str) -> None:
+    def grassmannian(g, field: str) -> None:
+        if not (_int_list(g) and len(g) == 2 and 0 <= g[0] < g[1]):
+            raise ScenarioConfigError(
+                f"{origin}: field '{field}' must be [k, n] with 0 <= k < n, got {g!r}"
+            )
+
     if "monoid" not in cfg and "dominance" not in cfg:
         raise ScenarioConfigError(
             f"{origin}: family scenario needs 'monoid' or 'dominance'"
         )
     if "monoid" in cfg:
-        if not _int_fields(cfg["monoid"], "degree", "point_multiplicity"):
+        m = cfg["monoid"]
+        if not _int_fields(m, "degree", "point_multiplicity"):
             raise ScenarioConfigError(
                 f"{origin}: field 'monoid' needs integer 'degree' and "
                 "'point_multiplicity'"
             )
-    if "grassmannian" in cfg:
-        g = cfg["grassmannian"]
-        if not _int_list(g) or len(g) != 2:
+        if m["degree"] < 1:
             raise ScenarioConfigError(
-                f"{origin}: field 'grassmannian' must be [k, n]"
+                f"{origin}: field 'monoid.degree' must be at least 1, got {m['degree']}"
             )
+        if not 0 <= m["point_multiplicity"] <= m["degree"]:
+            raise ScenarioConfigError(
+                f"{origin}: field 'monoid.point_multiplicity' must lie in "
+                f"[0, degree {m['degree']}], got {m['point_multiplicity']}"
+            )
+    if "grassmannian" in cfg:
+        grassmannian(cfg["grassmannian"], "grassmannian")
     if "dominance" in cfg:
         d = cfg["dominance"]
         if not (
@@ -303,6 +318,12 @@ def _validate_family(cfg: dict, origin: str) -> None:
                 f"{origin}: field 'dominance' needs 'param_space_dims' "
                 "(integers) and 'grassmannian' [k, n]"
             )
+        if any(x < 0 for x in d["param_space_dims"]):
+            raise ScenarioConfigError(
+                f"{origin}: field 'dominance.param_space_dims' must be "
+                f"nonnegative, got {d['param_space_dims']!r}"
+            )
+        grassmannian(d["grassmannian"], "dominance.grassmannian")
 
 
 def load_scenario(path: str | Path) -> Scenario:

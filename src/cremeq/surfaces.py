@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .lattice import (
     BlowupMap,
     DivisorClass,
-    EffectivityRule,
     IntersectionLattice,
     LatticeMismatchError,
     genus,
@@ -52,11 +51,6 @@ class PolarizedSurface:
     def sectional_genus(self) -> int:
         return genus(self.polarization)
 
-    @property
-    def k_squared(self) -> int:
-        k = self.lattice.canonical
-        return pair(k, k)
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
@@ -79,7 +73,6 @@ def _f0_lattice() -> IntersectionLattice:
         basis=("f1", "f2"),
         gram=((0, 1), (1, 0)),
         canonical_coeffs=(-2, -2),
-        effectivity=EffectivityRule.ALL_COORDS_NONNEG,
     )
 
 
@@ -89,16 +82,10 @@ def _plane_lattice() -> IntersectionLattice:
         basis=("L",),
         gram=((1,),),
         canonical_coeffs=(-3,),
-        effectivity=EffectivityRule.ALL_COORDS_NONNEG,
     )
 
 
-def _blowup_plane_lattice(
-    n: int,
-    name: str,
-    effectivity: EffectivityRule | None,
-    generators: tuple[tuple[int, ...], ...] | None = None,
-) -> IntersectionLattice:
+def _blowup_plane_lattice(n: int, name: str) -> IntersectionLattice:
     basis = ("L",) + tuple(f"E{i}" for i in range(1, n + 1))
     gram = tuple(
         tuple((1 if i == j == 0 else -1 if i == j else 0) for j in range(n + 1))
@@ -109,8 +96,6 @@ def _blowup_plane_lattice(
         basis=basis,
         gram=gram,
         canonical_coeffs=(-3,) + (1,) * n,
-        effectivity=effectivity,
-        generators=generators,
     )
 
 
@@ -127,22 +112,9 @@ def make_f0_sextic() -> PolarizedSurface:
 def make_bordiga() -> PolarizedSurface:
     """Bordiga surface: Bl_10 P^2 embedded by quartics through the points.
 
-    Degree 16 - 10 = 6, sectional genus 3.  Effectivity is declared by the
-    generator list (c, m_1, ..., m_10) with c the strict transform of a line
-    through the first two points and m_i the point exceptionals; that list is
-    a declared decomposition basis for curve classes, not a claim about the
-    full effective cone.
+    Degree 16 - 10 = 6, sectional genus 3.
     """
-    c = (1, -1, -1) + (0,) * 8
-    ms = tuple(
-        tuple(1 if j == i else 0 for j in range(11)) for i in range(1, 11)
-    )
-    lat = _blowup_plane_lattice(
-        10,
-        name="Bl10P2",
-        effectivity=EffectivityRule.EXPLICIT_GENERATOR_LIST,
-        generators=(c,) + ms,
-    )
+    lat = _blowup_plane_lattice(10, name="Bl10P2")
     return PolarizedSurface(
         lattice=lat, polarization=lat((4,) + (-1,) * 10), name="bordiga"
     )
@@ -151,11 +123,10 @@ def make_bordiga() -> PolarizedSurface:
 def make_dp6() -> PolarizedSurface:
     """Del Pezzo sextic: Bl_3 P^2, anticanonically embedded, then projected.
 
-    Degree 9 - 3 = 6, sectional genus 1.  No effectivity rule is declared on
-    this lattice; nothing downstream needs one (the six lines are passed
-    around explicitly where a curve cone is required).
+    Degree 9 - 3 = 6, sectional genus 1.  The six lines are passed around
+    explicitly where a curve cone is required.
     """
-    lat = _blowup_plane_lattice(3, name="Bl3P2", effectivity=None)
+    lat = _blowup_plane_lattice(3, name="Bl3P2")
     return PolarizedSurface(lattice=lat, polarization=lat((3, -1, -1, -1)), name="dp6")
 
 
@@ -173,17 +144,12 @@ def dp6_line_classes(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
 def make_blowup_plane(n_points: int, polarization: tuple[int, ...], name: str | None = None) -> PolarizedSurface:
     """Generic constructor: plane blown up in n_points with a chosen polarization.
 
-    The lattice carries the STANDARD_BLOWUP_CONE effectivity declaration,
-    i.e. the conservative cone spanned by the line pullback and the
-    exceptionals.
+    The lattice is in the standard presentation (L, E1, ..., En) with gram
+    diag(1, -1, ..., -1) and K = -3L + E1 + ... + En.
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
-    lat = _blowup_plane_lattice(
-        n_points,
-        name=name or f"Bl{n_points}P2",
-        effectivity=EffectivityRule.STANDARD_BLOWUP_CONE,
-    )
+    lat = _blowup_plane_lattice(n_points, name=name or f"Bl{n_points}P2")
     return PolarizedSurface(
         lattice=lat,
         polarization=lat(polarization),
@@ -231,11 +197,6 @@ class SZModel:
         a, b, m = c.coeffs
         return a == b == m
 
-    @property
-    def rulings(self) -> tuple[DivisorClass, DivisorClass]:
-        """Strict transforms of the two rulings of the quadric: (0,1,1), (1,0,1)."""
-        return self.lattice((0, 1, 1)), self.lattice((1, 0, 1))
-
 
 def make_sz() -> SZModel:
     lat = IntersectionLattice(
@@ -243,7 +204,6 @@ def make_sz() -> SZModel:
         basis=("F1", "F2", "M"),
         gram=((-1, 0, 1), (0, -1, 1), (1, 1, -1)),
         canonical_coeffs=(-2, -2, -3),
-        effectivity=EffectivityRule.ALL_COORDS_NONNEG,
     )
     from_f0 = BlowupMap(
         source=_f0_lattice(),

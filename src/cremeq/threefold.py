@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .lattice import DivisorClass, LatticeMismatchError, pair
+from .lattice import DivisorClass, pair
 from .projection import ProjectionModel
 
 # a generic projection is double along its double curve, and K of P^3 is -4H
@@ -31,22 +31,6 @@ AMBIENT_CANONICAL_DEGREE = -4
 @dataclass(frozen=True)
 class BlowupThreefold:
     projection: ProjectionModel
-
-    @property
-    def h_restrict(self) -> DivisorClass:
-        """Restriction of the hyperplane pullback: the polarization class."""
-        return self.projection.surface.polarization
-
-    @property
-    def e_restrict(self) -> DivisorClass:
-        """Restriction of the exceptional: the double point class."""
-        return self.projection.gamma_w
-
-    def _check(self, c: DivisorClass) -> None:
-        if c.lattice != self.projection.surface.lattice:
-            raise LatticeMismatchError(
-                "curve class must live on the surface's lattice"
-            )
 
 
 class RayKind(enum.Enum):
@@ -79,18 +63,25 @@ class RayVerdict:
         return d
 
 
+def divisor_dot(t: BlowupThreefold, he: tuple[int, int], c: DivisorClass) -> int:
+    """Pair the rank-2 divisor class a*H + b*E of T with a curve class on S.
+
+    H restricts to the polarization and E to the double point class; a class
+    on another lattice raises LatticeMismatchError from pair.
+    """
+    a, b = he
+    p = t.projection
+    return a * pair(c, p.surface.polarization) + b * pair(c, p.gamma_w)
+
+
 def st_dot(t: BlowupThreefold, c: DivisorClass) -> int:
     """Degree of the strict transform of the surface on the curve class c."""
-    t._check(c)
-    return t.projection.deg_s * pair(c, t.h_restrict) - DOUBLE_LOCUS_MULTIPLICITY * pair(
-        c, t.e_restrict
-    )
+    return divisor_dot(t, (t.projection.deg_s, -DOUBLE_LOCUS_MULTIPLICITY), c)
 
 
 def kt_dot(t: BlowupThreefold, c: DivisorClass) -> int:
     """Degree of the canonical class of T on the curve class c."""
-    t._check(c)
-    return AMBIENT_CANONICAL_DEGREE * pair(c, t.h_restrict) + pair(c, t.e_restrict)
+    return divisor_dot(t, (AMBIENT_CANONICAL_DEGREE, 1), c)
 
 
 def is_nef_on(t: BlowupThreefold, generators: list[DivisorClass]) -> bool:
@@ -102,12 +93,6 @@ def is_nef_on(t: BlowupThreefold, generators: list[DivisorClass]) -> bool:
     if not generators:
         raise ValueError("nefness needs a nonempty list of cone generators")
     return all(st_dot(t, c) >= 0 for c in generators)
-
-
-def divisor_dot(t: BlowupThreefold, he: tuple[int, int], c: DivisorClass) -> int:
-    """Pair the rank-2 divisor class a*H + b*E of T with a curve class on S."""
-    a, b = he
-    return a * pair(c, t.h_restrict) + b * pair(c, t.e_restrict)
 
 
 def classify_second_ray(

@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 
+from conftest import random_symmetric_gram
 from cremeq.family_checks import dominance_count, grassmannian_dim, monoid_ce_predicate
 from cremeq.feasibility import (
     ChainLine,
@@ -216,14 +217,6 @@ def test_acceptance_4_families(capfd):
 # --- criterion 5: seeded randomized suites, >= 1000 cases each ---------------
 
 
-def _random_symmetric_gram(rng, n, span=4):
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            g[i][j] = g[j][i] = rng.randint(-span, span)
-    return tuple(tuple(row) for row in g)
-
-
 def _box_has_solution(system: FeasibilitySystem, bound: int) -> bool:
     # plain enumeration of the whole box; shares nothing with the solver
     n = len(system.unknowns)
@@ -245,7 +238,7 @@ def _suite_bilinearity(rng, check):
         lat = IntersectionLattice(
             name="rnd",
             basis=tuple(f"b{i}" for i in range(n)),
-            gram=_random_symmetric_gram(rng, n),
+            gram=random_symmetric_gram(rng, n),
             canonical_coeffs=(0,) * n,
         )
         u = lat(tuple(rng.randint(-6, 6) for _ in range(n)))

@@ -8,15 +8,11 @@ from conftest import random_unimodular
 from cremeq.lattice import (
     AdjunctionParityError,
     BlowupMap,
-    DivisorClass,
-    EffectivityRule,
-    EffectivityRuleError,
     IntersectionLattice,
     LatticeMismatchError,
     blow_up_point,
     change_basis,
     genus,
-    is_effective,
     pair,
 )
 from cremeq.surfaces import make_blowup_plane
@@ -26,7 +22,6 @@ PLANE = IntersectionLattice(
     basis=("L",),
     gram=((1,),),
     canonical_coeffs=(-3,),
-    effectivity=EffectivityRule.ALL_COORDS_NONNEG,
 )
 
 QUADRIC = IntersectionLattice(
@@ -34,15 +29,14 @@ QUADRIC = IntersectionLattice(
     basis=("f1", "f2"),
     gram=((0, 1), (1, 0)),
     canonical_coeffs=(-2, -2),
-    effectivity=EffectivityRule.ALL_COORDS_NONNEG,
 )
 
 
 def test_pairing_on_hyperbolic_form():
     a = QUADRIC((1, 3))
     assert pair(a, a) == 6
-    assert a.dot(QUADRIC((1, 0))) == 3
-    assert a.dot(QUADRIC((0, 1))) == 1
+    assert pair(a, QUADRIC((1, 0))) == 3
+    assert pair(a, QUADRIC((0, 1))) == 1
 
 
 def test_pair_rejects_mixed_lattices():
@@ -96,99 +90,12 @@ def test_divisor_class_wrong_length():
         QUADRIC((1, 2, 3))
 
 
-def test_effectivity_all_coords():
-    assert is_effective(QUADRIC((2, 0)))
-    assert not is_effective(QUADRIC((-1, 4)))
-
-
-def test_effectivity_undeclared_raises():
-    bare = IntersectionLattice("bare", ("x",), ((1,),), (-3,))
-    with pytest.raises(EffectivityRuleError, match="no declared effectivity rule"):
-        is_effective(bare((1,)))
-
-
-def test_effectivity_explicit_generators():
-    lat = IntersectionLattice(
-        name="gen",
-        basis=("L", "E"),
-        gram=((1, 0), (0, -1)),
-        canonical_coeffs=(-3, 1),
-        effectivity=EffectivityRule.EXPLICIT_GENERATOR_LIST,
-        generators=((1, -1), (0, 1)),
-    )
-    assert is_effective(lat((1, 0)))       # (1,-1) + (0,1)
-    assert is_effective(lat((2, -1)))      # 2(1,-1) + (0,1)
-    assert not is_effective(lat((1, -2)))  # would need a negative multiple
-    assert not is_effective(lat((-1, 0)))
-
-
-def test_effectivity_explicit_fractional_combination_is_rejected():
-    lat = IntersectionLattice(
-        name="gen2",
-        basis=("a", "b"),
-        gram=((2, 0), (0, 2)),
-        canonical_coeffs=(0, 0),
-        effectivity=EffectivityRule.EXPLICIT_GENERATOR_LIST,
-        generators=((2, 0), (0, 1)),
-    )
-    assert not is_effective(lat((1, 0)))  # needs half a generator
-    assert is_effective(lat((4, 2)))
-
-
-def test_effectivity_explicit_dependent_generators_refused():
-    lat = IntersectionLattice(
-        name="dep",
-        basis=("a", "b"),
-        gram=((1, 0), (0, 1)),
-        canonical_coeffs=(0, 0),
-        effectivity=EffectivityRule.EXPLICIT_GENERATOR_LIST,
-        generators=((1, 0), (2, 0)),
-    )
-    with pytest.raises(EffectivityRuleError, match="dependent"):
-        is_effective(lat((1, 0)))
-
-
-def test_effectivity_explicit_requires_generators_at_construction():
-    with pytest.raises(EffectivityRuleError):
-        IntersectionLattice(
-            "nogen",
-            ("a",),
-            ((1,),),
-            (0,),
-            effectivity=EffectivityRule.EXPLICIT_GENERATOR_LIST,
-        )
-
-
-def test_effectivity_standard_blowup_cone():
-    lat = IntersectionLattice(
-        name="bl",
-        basis=("L", "E1", "E2"),
-        gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)),
-        canonical_coeffs=(-3, 1, 1),
-        effectivity=EffectivityRule.STANDARD_BLOWUP_CONE,
-    )
-    assert is_effective(lat((2, 1, 0)))
-    assert not is_effective(lat((2, -1, 0)))
-
-
-def test_effectivity_standard_blowup_cone_needs_diagonal_presentation():
-    lat = IntersectionLattice(
-        name="notbl",
-        basis=("f1", "f2"),
-        gram=((0, 1), (1, 0)),
-        canonical_coeffs=(-2, -2),
-        effectivity=EffectivityRule.STANDARD_BLOWUP_CONE,
-    )
-    with pytest.raises(EffectivityRuleError, match="presentation"):
-        is_effective(lat((1, 0)))
-
-
 def test_blow_up_point_structure():
     lat2, bl = blow_up_point(PLANE)
     assert lat2.basis == ("L", "E1")
     e = bl.exceptional_classes[0]
-    assert e.dot(e) == -1
-    assert bl.pullback(PLANE((1,))).dot(e) == 0
+    assert pair(e, e) == -1
+    assert pair(bl.pullback(PLANE((1,))), e) == 0
     assert lat2.canonical.coeffs == (-3, 1)
     assert genus(e) == 0
 
@@ -197,12 +104,6 @@ def test_blow_up_point_label_collision():
     lat2, _ = blow_up_point(PLANE, label="E1")
     with pytest.raises(ValueError, match="already in use"):
         blow_up_point(lat2, label="E1")
-
-
-def test_blow_up_result_has_no_effectivity_rule():
-    lat2, _ = blow_up_point(PLANE)
-    with pytest.raises(EffectivityRuleError):
-        is_effective(lat2((1, 0)))
 
 
 def test_blowup_map_rejects_broken_canonical():
@@ -312,14 +213,6 @@ def test_lattice_json_roundtrip():
     d = QUADRIC.to_json_dict()
     back = IntersectionLattice.from_json_dict(d)
     assert back == QUADRIC
-
-
-def test_divisor_json_roundtrip():
-    c = QUADRIC((4, 8))
-    back = DivisorClass.from_json_dict(c.to_json_dict(), QUADRIC)
-    assert back == c
-    with pytest.raises(LatticeMismatchError):
-        DivisorClass.from_json_dict(c.to_json_dict(), PLANE)
 
 
 # --- randomized properties ------------------------------------------------

@@ -79,6 +79,8 @@ def test_load_scenario_top_level_must_be_object(tmp_path):
         ),
         (lambda c: c.update(curve_cone=[["a"]]), "field 'curve_cone\\[0\\]' must be"),
         (lambda c: c.update(deg_gamma="ten"), "field 'deg_gamma'"),
+        (lambda c: c.update(deg_gamma=0), "field 'deg_gamma' must be a positive integer, got 0"),
+        (lambda c: c.update(deg_gamma=-3), "field 'deg_gamma' must be a positive integer, got -3"),
         (lambda c: c.update(obstruction={"bound": -1}), "field 'obstruction.bound'"),
         (lambda c: c.update(contracting_divisor={"h": 1}), "contracting_divisor"),
         (
@@ -106,6 +108,23 @@ def test_projection_config_validation(tmp_path, mutate, message):
         (lambda c: c.pop("monoid"), "needs 'monoid' or 'dominance'"),
         (lambda c: c.update(monoid={"degree": 6}), "field 'monoid'"),
         (lambda c: c.update(grassmannian=[3]), "must be \\[k, n\\]"),
+        (lambda c: c.update(grassmannian=[7, 3]), "field 'grassmannian' must be \\[k, n\\] with"),
+        (
+            lambda c: c.update(monoid={"degree": 3, "point_multiplicity": 5}),
+            "field 'monoid.point_multiplicity'",
+        ),
+        (
+            lambda c: c.update(monoid={"degree": 0, "point_multiplicity": 0}),
+            "field 'monoid.degree'",
+        ),
+        (
+            lambda c: c.update(dominance={"param_space_dims": [6, -1], "grassmannian": [3, 7]}),
+            "field 'dominance.param_space_dims'",
+        ),
+        (
+            lambda c: c.update(dominance={"param_space_dims": [1, 2], "grassmannian": [7, 3]}),
+            "field 'dominance.grassmannian'",
+        ),
     ],
 )
 def test_family_config_validation(tmp_path, mutate, message):

@@ -2,14 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cremeq.lattice import EffectivityRuleError, LatticeMismatchError, genus, is_effective, pair
+from cremeq.lattice import LatticeMismatchError, genus, pair
 from cremeq.surfaces import (
     PolarizedSurface,
     dp6_line_classes,
     make_blowup_plane,
-    make_bordiga,
-    make_dp6,
-    make_f0_sextic,
     make_sz,
 )
 
@@ -17,37 +14,25 @@ from cremeq.surfaces import (
 def test_f0_sextic_numerology(f0):
     assert f0.degree == 6
     assert f0.sectional_genus == 0
-    assert f0.k_squared == 8
+    k = f0.lattice.canonical
+    assert pair(k, k) == 8
     assert f0.lattice.dim == 2
     # the two rulings: a line ruling and a cubic ruling
     h = f0.polarization
-    assert h.dot(f0.lattice((0, 1))) == 1
-    assert h.dot(f0.lattice((1, 0))) == 3
+    assert pair(h, f0.lattice((0, 1))) == 1
+    assert pair(h, f0.lattice((1, 0))) == 3
 
 
 def test_bordiga_numerology(bordiga):
     assert bordiga.degree == 6
     assert bordiga.sectional_genus == 3
     assert bordiga.lattice.dim == 11
-    assert bordiga.k_squared == 9 - 10
+    k = bordiga.lattice.canonical
+    assert pair(k, k) == 9 - 10
     h = bordiga.polarization
     assert genus(h) == 3
     # the plane cubics through the ten points cut the hyperplane sections
     assert h.coeffs == (4,) + (-1,) * 10
-
-
-def test_bordiga_effectivity_generators(bordiga):
-    lat = bordiga.lattice
-    e1 = lat((0, 1) + (0,) * 9)
-    c = lat((1, -1, -1) + (0,) * 8)
-    assert is_effective(e1)
-    assert is_effective(c)
-    assert is_effective(c + e1)
-    assert not is_effective(-c)
-    # L itself is not in the declared cone: L = c + E1 + E2 works, so it is;
-    # but L - 3 E1 needs a negative multiple
-    assert is_effective(lat((1,) + (0,) * 10))
-    assert not is_effective(lat((1, -3) + (0,) * 9))
 
 
 def test_dp6_numerology(dp6):
@@ -57,24 +42,15 @@ def test_dp6_numerology(dp6):
     lines = dp6_line_classes(dp6.lattice)
     assert len(lines) == 6
     for ell in lines:
-        assert ell.dot(ell) == -1
-        assert ell.dot(dp6.polarization) == 1
+        assert pair(ell, ell) == -1
+        assert pair(ell, dp6.polarization) == 1
         assert genus(ell) == 0
-
-
-def test_dp6_has_no_effectivity_rule(dp6):
-    with pytest.raises(EffectivityRuleError, match="no declared effectivity rule"):
-        is_effective(dp6.polarization)
 
 
 def test_make_blowup_plane():
     s = make_blowup_plane(2, (3, -1, -1))
     assert s.degree == 9 - 2
     assert s.sectional_genus == 1
-    # the declared cone is the conservative one: pullbacks plus exceptionals,
-    # so the anticanonical polarization itself is not certified by it
-    assert is_effective(s.lattice((2, 1, 0)))
-    assert not is_effective(s.polarization)
 
 
 def test_make_blowup_plane_validation():
@@ -87,7 +63,6 @@ def test_make_blowup_plane_validation():
 def test_surface_json_roundtrip(bordiga):
     back = PolarizedSurface.from_json_dict(bordiga.to_json_dict())
     assert back == bordiga
-    assert back.lattice.effectivity is bordiga.lattice.effectivity
 
 
 def test_sz_model_shape(sz):
@@ -119,12 +94,13 @@ def test_sz_blowdown_to_plane(sz):
 
 
 def test_sz_rulings(sz):
-    r1, r2 = sz.rulings
+    # strict transforms of the two rulings of the quadric
+    r2, r1 = (sz.from_f0.pullback(sz.f0(c)) for c in ((1, 0), (0, 1)))
     assert r1.coeffs == (0, 1, 1)
     assert r2.coeffs == (1, 0, 1)
     assert pair(r1, r1) == 0 and pair(r2, r2) == 0
     assert pair(r1, r2) == 1
-    # rulings are quadric-side pullbacks of the two rulings downstairs
+    # the hyperplane description a + b = c holds on both
     assert sz.is_f0_pullback(r1) and sz.is_f0_pullback(r2)
 
 
@@ -148,10 +124,3 @@ def test_sz_from_f0_isometry_onto_predicate(a, b):
     assert sz.is_f0_pullback(up)
     assert pair(up, up) == pair(c, c)
     assert pair(up, sz.from_f0.exceptional_classes[0]) == 0
-
-
-@given(st.integers(1, 9), st.integers(1, 9))
-def test_effective_cone_closed_under_addition_on_f0(a, b):
-    f0 = make_f0_sextic()
-    lat = f0.lattice
-    assert is_effective(lat((a, 0)) + lat((0, b)))
