@@ -15,6 +15,7 @@ out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index, mul
 
 from .linalg import invert_unimodular, mat_mul, mat_vec
 
@@ -50,7 +51,7 @@ class IntersectionLattice:
         return len(self.basis)
 
     def __call__(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, tuple(int(c) for c in coeffs))
+        return DivisorClass(self, tuple(index(c) for c in coeffs))
 
     @property
     def canonical(self) -> "DivisorClass":
@@ -69,8 +70,8 @@ class IntersectionLattice:
         return IntersectionLattice(
             name=d["name"],
             basis=tuple(d["basis"]),
-            gram=tuple(tuple(int(v) for v in row) for row in d["gram"]),
-            canonical_coeffs=tuple(int(v) for v in d["canonical"]),
+            gram=tuple(tuple(index(v) for v in row) for row in d["gram"]),
+            canonical_coeffs=tuple(index(v) for v in d["canonical"]),
         )
 
 
@@ -117,13 +118,8 @@ def pair(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection number a.b, an exact integer."""
     a._check_same(b)
     gram = a.lattice.gram
-    total = 0
-    for i, u in enumerate(a.coeffs):
-        if u == 0:
-            continue
-        row = gram[i]
-        total += u * sum(r * v for r, v in zip(row, b.coeffs) if v != 0)
-    return total
+    v = b.coeffs
+    return sum(u * sum(map(mul, gram[i], v)) for i, u in enumerate(a.coeffs) if u)
 
 
 def genus(c: DivisorClass) -> int:

@@ -222,7 +222,9 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
                 f"{origin}: field 'surface' names no builder: {surface!r} "
                 f"(have {sorted(SURFACE_BUILDERS)})"
             )
-    elif not isinstance(surface, dict):
+    elif isinstance(surface, dict):
+        _validate_surface_model(surface, origin, need)
+    else:
         raise ScenarioConfigError(
             f"{origin}: field 'surface' must be a builder name or an inline model"
         )
@@ -275,6 +277,48 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             raise ScenarioConfigError(
                 f"{origin}: field 'obstruction.bound' must be a nonnegative integer"
             )
+
+
+def _validate_surface_model(model: dict, origin: str, need) -> None:
+    """The keys PolarizedSurface.from_json_dict reads, with integer entries."""
+    def check(ok: bool, field: str, what: str, got) -> None:
+        if not ok:
+            raise ScenarioConfigError(
+                f"{origin}: field 'surface.{field}' must be {what}, got {got!r}"
+            )
+
+    def nonempty_str(v) -> bool:
+        return isinstance(v, str) and bool(v)
+
+    name = need("name", model, "surface.")
+    check(nonempty_str(name), "name", "a nonempty string", name)
+    lat = need("lattice", model, "surface.")
+    check(isinstance(lat, dict), "lattice", "a map", lat)
+    lat_name = need("name", lat, "surface.lattice.")
+    check(nonempty_str(lat_name), "lattice.name", "a nonempty string", lat_name)
+    basis = need("basis", lat, "surface.lattice.")
+    check(
+        isinstance(basis, list) and bool(basis) and all(map(nonempty_str, basis)),
+        "lattice.basis", "a nonempty list of nonempty strings", basis,
+    )
+    n = len(basis)
+
+    def row(v) -> bool:
+        return _int_list(v) and len(v) == n
+
+    gram = need("gram", lat, "surface.lattice.")
+    check(
+        isinstance(gram, list) and len(gram) == n and all(map(row, gram)),
+        "lattice.gram", f"a {n}x{n} matrix of integers", gram,
+    )
+    check(
+        all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i)),
+        "lattice.gram", "symmetric", gram,
+    )
+    canonical = need("canonical", lat, "surface.lattice.")
+    check(row(canonical), "lattice.canonical", f"a list of {n} integers", canonical)
+    polarization = need("polarization", model, "surface.")
+    check(row(polarization), "polarization", f"a list of {n} integers", polarization)
 
 
 def _validate_family(cfg: dict, origin: str) -> None:

@@ -10,17 +10,20 @@ functionals on curve classes:
     st_dot(C) = deg_s * C.H - 2 * C.Gamma_W
     kt_dot(C) = -4 * C.H + C.Gamma_W
 
-where Gamma_W is the double point class.  The second contraction of the
-two-ray game on T is classified by the signs of these numbers on the chosen
-extremal curve class.
+where Gamma_W is the double point class.  Both are dot products: with G the
+gram matrix of the surface lattice, C.H = C . (G H) and C.Gamma_W =
+C . (G Gamma_W), and the two rows G H and G Gamma_W are computed once per
+threefold.  The second contraction of the two-ray game on T is classified by
+the signs of these numbers on the chosen extremal curve class.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .lattice import DivisorClass, pair
+from .lattice import DivisorClass
+from .linalg import mat_vec
 from .projection import ProjectionModel
 
 # a generic projection is double along its double curve, and K of P^3 is -4H
@@ -30,7 +33,20 @@ AMBIENT_CANONICAL_DEGREE = -4
 
 @dataclass(frozen=True)
 class BlowupThreefold:
+    """T over one projection model, with the rows G.H and G.Gamma_W.
+
+    The rows are derived from the model at construction and cannot be set.
+    """
+
     projection: ProjectionModel
+    gh: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    g_gamma_w: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p = self.projection
+        gram = p.surface.lattice.gram
+        object.__setattr__(self, "gh", mat_vec(gram, p.surface.polarization.coeffs))
+        object.__setattr__(self, "g_gamma_w", mat_vec(gram, p.gamma_w.coeffs))
 
 
 class RayKind(enum.Enum):
@@ -66,12 +82,14 @@ class RayVerdict:
 def divisor_dot(t: BlowupThreefold, he: tuple[int, int], c: DivisorClass) -> int:
     """Pair the rank-2 divisor class a*H + b*E of T with a curve class on S.
 
-    H restricts to the polarization and E to the double point class; a class
-    on another lattice raises LatticeMismatchError from pair.
+    H restricts to the polarization and E to the double point class, so this
+    is a * c.(G H) + b * c.(G Gamma_W); a class on another lattice raises
+    LatticeMismatchError.
     """
+    c._check_same(t.projection.surface.polarization)
     a, b = he
-    p = t.projection
-    return a * pair(c, p.surface.polarization) + b * pair(c, p.gamma_w)
+    c_h, c_gamma_w = mat_vec((t.gh, t.g_gamma_w), c.coeffs)
+    return a * c_h + b * c_gamma_w
 
 
 def st_dot(t: BlowupThreefold, c: DivisorClass) -> int:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -88,6 +89,26 @@ def test_lattice_validation():
 def test_divisor_class_wrong_length():
     with pytest.raises(ValueError):
         QUADRIC((1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QUADRIC((1.9, 3)),
+        lambda: QUADRIC("13"),
+        lambda: QUADRIC(("1", 3)),
+        lambda: IntersectionLattice.from_json_dict(
+            {**QUADRIC.to_json_dict(), "gram": [[0, 1.5], [1.5, 0]]}
+        ),
+        lambda: IntersectionLattice.from_json_dict(
+            {**QUADRIC.to_json_dict(), "canonical": [-2.0, "-2"]}
+        ),
+    ],
+)
+def test_non_integer_entries_are_refused(build):
+    # int() would truncate 1.9 to 1 and read "13" as (1, 3)
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_blow_up_point_structure():
@@ -192,9 +213,13 @@ def test_change_basis_rejects_basis_vector_of_wrong_length(new_basis, message):
         change_basis(QUADRIC, new_basis, ("a", "b"))
 
 
+NONZERO = (-3, -2, -1, 1, 2, 3)
+
+
 @pytest.mark.parametrize("rank", range(1, 13))
 def test_change_basis_matches_pairwise_gram(rank):
-    # the A^T G A product against one pair call per entry
+    # the A^T G A product against one pair call per entry, and pair itself
+    # against sympy's u^T G v on sparse and dense classes of both lattices
     rng = random.Random(2000 + rank)
     L = make_blowup_plane(rank - 1, (7,) + (-1,) * (rank - 1)).lattice
     for _ in range(2):
@@ -207,6 +232,14 @@ def test_change_basis_matches_pairwise_gram(rank):
         assert [pair(bc.new.canonical, x) for x in news] == [
             pair(L.canonical, u) for u in olds
         ]
+        sparse = [0] * rank
+        sparse[rng.randrange(rank)] = rng.choice(NONZERO)
+        dense = [rng.choice(NONZERO) for _ in range(rank)]
+        vectors = [sparse, dense, list(L.canonical_coeffs), *(list(b) for b in new_basis)]
+        m = sympy.Matrix(vectors)
+        for lat in (L, bc.new):
+            oracle = m * sympy.Matrix(lat.gram) * m.T
+            assert [[pair(lat(u), lat(v)) for v in vectors] for u in vectors] == oracle.tolist()
 
 
 def test_lattice_json_roundtrip():

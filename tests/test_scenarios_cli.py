@@ -13,12 +13,35 @@ from cremeq.scenarios import (
     load_scenario,
     run_scenario,
 )
+from cremeq.surfaces import make_f0_sextic
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return p
+
+
+_DROP = object()
+
+
+def inline_f0(*path, value=_DROP):
+    """A config edit: sextic-ruled's surface as an inline F0 model, with the
+    field at path set to value, or dropped."""
+    def mutate(cfg):
+        model = make_f0_sextic().to_json_dict()
+        if path:
+            *parents, last = path
+            where = model
+            for key in parents:
+                where = where[key]
+            if value is _DROP:
+                del where[last]
+            else:
+                where[last] = value
+        cfg["surface"] = model
+
+    return mutate
 
 
 def perturbed_sextic(deg_gamma=11):
@@ -91,6 +114,22 @@ def test_load_scenario_top_level_must_be_object(tmp_path):
             lambda c: c["expected"].update(degree={"value": 6}),
             "expected.degree.provenance",
         ),
+        (inline_f0("lattice", "gram"), "missing field 'surface.lattice.gram'"),
+        (inline_f0("name"), "missing field 'surface.name'"),
+        (inline_f0("name", value=""), "field 'surface.name' must be"),
+        (inline_f0("lattice", value=[1]), "field 'surface.lattice' must be a map"),
+        (inline_f0("lattice", "name", value=7), "field 'surface.lattice.name'"),
+        (inline_f0("lattice", "basis", value=[]), "field 'surface.lattice.basis'"),
+        (inline_f0("lattice", "basis", value=["f1", 2]), "field 'surface.lattice.basis'"),
+        (inline_f0("lattice", "gram", value=[[0, 1.5], [1.5, 0]]), "field 'surface.lattice.gram'"),
+        (inline_f0("lattice", "gram", value=[[0, True], [True, 0]]), "field 'surface.lattice.gram'"),
+        (inline_f0("lattice", "gram", value=[[0, 1]]), "field 'surface.lattice.gram' must be a 2x2"),
+        (inline_f0("lattice", "gram", value=[[0, 1], [2, 0]]), "field 'surface.lattice.gram' must be symmetric"),
+        (inline_f0("lattice", "canonical", value=[-2]), "field 'surface.lattice.canonical'"),
+        (inline_f0("lattice", "canonical", value=[-2.0, -2]), "field 'surface.lattice.canonical'"),
+        (inline_f0("polarization", value=[1.9, 3]), "field 'surface.polarization'"),
+        (inline_f0("polarization", value="13"), "field 'surface.polarization'"),
+        (inline_f0("polarization", value=[1, 3, 0]), "field 'surface.polarization'"),
     ],
 )
 def test_projection_config_validation(tmp_path, mutate, message):
@@ -163,6 +202,14 @@ def test_file_copy_reproduces_builtin_byte_for_byte(tmp_path):
     builtin = run_scenario(builtin_scenario("dp6"))
     assert from_file.to_json() == builtin.to_json()
     assert from_file.to_markdown() == builtin.to_markdown()
+
+
+def test_inline_surface_model_reproduces_builtin(tmp_path):
+    # the inline model that config validation checks is exactly to_json_dict()
+    cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
+    inline_f0()(cfg)
+    inline = run_scenario(load_scenario(write_config(tmp_path, cfg)))
+    assert inline.to_json() == run_scenario(builtin_scenario("sextic-ruled")).to_json()
 
 
 def test_perturbed_double_curve_fails_exactly_where_expected():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from cremeq.lattice import LatticeMismatchError
-from cremeq.projection import project_to_p3
-from cremeq.surfaces import dp6_line_classes
+from conftest import random_unimodular
+from cremeq.lattice import LatticeMismatchError, change_basis, pair
+from cremeq.projection import ProjectionModel, project_to_p3
+from cremeq.surfaces import PolarizedSurface, dp6_line_classes, make_blowup_plane
 from cremeq.threefold import (
     BlowupThreefold,
     RayKind,
@@ -127,3 +130,44 @@ def test_empty_lists_refused(t_sextic):
 def test_wrong_lattice_refused(t_sextic, dp6):
     with pytest.raises(LatticeMismatchError):
         st_dot(t_sextic, dp6.polarization)
+
+
+@pytest.mark.parametrize("rank", range(1, 13))
+def test_ray_numbers_are_pairings_on_dense_lattices(rank):
+    # a*pair(c, H) + b*pair(c, Gamma_W), after a basis change leaves no zeros
+    rng = random.Random(3000 + rank)
+    n = rank - 1
+    standard = make_blowup_plane(n, (7,) + (-1,) * n)
+    a = random_unimodular(rng, rank)
+    bc = change_basis(
+        standard.lattice,
+        [tuple(row[j] for row in a) for j in range(rank)],
+        tuple(f"B{j}" for j in range(rank)),
+    )
+    surface = PolarizedSurface(
+        lattice=bc.new, polarization=bc.to_new(standard.polarization), name="dense"
+    )
+
+    def random_class():
+        return bc.new(tuple(rng.randint(-5, 5) for _ in range(rank)))
+
+    # any even class meets the degree constraint with deg_gamma = half.H
+    half = random_class()
+    model = ProjectionModel(
+        surface=surface,
+        deg_s=surface.degree,
+        sect_genus=surface.sectional_genus,
+        deg_gamma=pair(half, surface.polarization),
+        gamma_w=2 * half,
+    )
+    t = BlowupThreefold(model)
+    for _ in range(4):
+        c = random_class()
+        ch, cg = pair(c, surface.polarization), pair(c, model.gamma_w)
+        he = (rng.randint(-5, 5), rng.randint(-5, 5))
+        assert divisor_dot(t, he, c) == he[0] * ch + he[1] * cg
+        assert st_dot(t, c) == model.deg_s * ch - 2 * cg
+        assert kt_dot(t, c) == -4 * ch + cg
+    # the same surface in its standard basis is another lattice
+    with pytest.raises(LatticeMismatchError):
+        divisor_dot(t, (1, 0), standard.polarization)
