@@ -1,7 +1,7 @@
 """Command line front end for the scenario runner.
 
 Usage:
-    cremeq run <name-or-path> [--json OUT] [--md OUT] [--bound N]
+    cremeq run <name-or-path> [--json OUT] [--md OUT]
     cremeq list
     cremeq check-all [--out DIR]
 
@@ -51,17 +51,12 @@ def main(argv=None) -> int:
                        help="also write the JSON report here")
     p_run.add_argument("--md", dest="md_out", metavar="PATH",
                        help="also write the markdown report here")
-    p_run.add_argument("--bound", type=int, default=None,
-                       help="override the witness search bound for the "
-                       "restriction system")
 
     sub.add_parser("list", help="list built-in scenarios")
     p_all = sub.add_parser("check-all", help="run every built-in scenario")
     p_all.add_argument("--out", metavar="DIR", help="also write DIR/<name>.json and .md")
 
     args = parser.parse_args(argv)
-    if args.command == "run" and args.bound is not None and args.bound < 0:
-        p_run.error(f"argument --bound: must be >= 0, got {args.bound}")
 
     if args.command == "list":
         for name in list_scenarios():
@@ -86,7 +81,7 @@ def main(argv=None) -> int:
     except ScenarioConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(scenario, bound=args.bound)
+    report = run_scenario(scenario)
     print(report.to_markdown())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json())

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index, mul
 
 from .lattice import DivisorClass, LatticeMismatchError
 from .linalg import eliminate
@@ -90,7 +91,7 @@ class FeasibilitySystem:
         return FeasibilitySystem(
             unknowns=tuple(d["unknowns"]),
             equations=tuple(
-                LinearEquation(tuple(int(c) for c in e["coeffs"]), int(e["rhs"]))
+                LinearEquation(tuple(map(index, e["coeffs"])), index(e["rhs"]))
                 for e in d["equations"]
             ),
         )
@@ -318,19 +319,15 @@ def _ref_sort_key(ref: str) -> tuple[int, int]:
     return (2, int(ref[1:]))
 
 
-def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCertificate:
-    """Decide nonnegative-integer feasibility, certificate included.
+def _sign_analysis(system: FeasibilitySystem) -> tuple[ChainLine, ...] | None:
+    """An INFEASIBLE chain found by sign analysis, or None if signs decide nothing.
 
-    Sign analysis first: eliminate, look for derived equations that are
-    already decisive over x >= 0 (a nonnegative combination equal to a
-    negative constant kills the system; equal to zero it forces its unknowns
-    to vanish, which feeds back into the scan).  Scanning prefers the
-    original equations to derived rows, so the shipped chains read like the
-    hand derivation.  If signs decide nothing, search the box [0, bound]^n
-    for a witness; failing that, answer UNKNOWN_UP_TO_BOUND.
+    Eliminate, look for derived equations that are already decisive over
+    x >= 0 (a nonnegative combination equal to a negative constant kills the
+    system; equal to zero it forces its unknowns to vanish, which feeds back
+    into the scan).  Scanning prefers the original equations to derived rows,
+    so the shipped chains read like the hand derivation.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
     names = system.unknowns
     n = len(names)
     originals = [
@@ -414,9 +411,7 @@ def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCerti
         if infeasible is not None:
             cc, rr, tt = infeasible
             emit_combination(cc, rr, tt)
-            return FeasibilityCertificate(
-                system=system, status="INFEASIBLE", chain=tuple(chain)
-            )
+            return tuple(chain)
         if force is not None:
             apply_force(force)
             continue
@@ -464,7 +459,21 @@ def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCerti
             grew = True
         if not grew:
             break
+    return None
 
+
+def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCertificate:
+    """Decide nonnegative-integer feasibility, certificate included.
+
+    Sign analysis first (_sign_analysis).  If signs decide nothing, search
+    the box [0, bound]^n for a witness; failing that, answer
+    UNKNOWN_UP_TO_BOUND.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    chain = _sign_analysis(system)
+    if chain is not None:
+        return FeasibilityCertificate(system=system, status="INFEASIBLE", chain=chain)
     witness = _search_witness(system, bound)
     if witness is not None:
         return FeasibilityCertificate(
@@ -476,6 +485,10 @@ def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCerti
 
 
 OBSTRUCTION_UNKNOWNS = ("e", "s1", "s2", "a", "b1", "b2")
+_OBSTRUCTION_LHS = ((1, -1, 0, 0, 1, 0), (1, 0, -1, 0, 0, 1), (1, -1, -1, -1, 0, 0))
+# the rows of M^-1, M = the e, s1, s2 columns of _OBSTRUCTION_LHS, in the order
+# their signs are checked: e = eq1 + eq2 - eq3, s1 = eq2 - eq3, s2 = eq1 - eq3
+_OBSTRUCTION_INVERSE = ((1, 1, -1), (0, 1, -1), (1, 0, -1))
 
 
 def build_obstruction_system(
@@ -504,6 +517,12 @@ def build_obstruction_system(
     in the six multiplicities, all of which must be nonnegative integers if
     the resolving surface exists.  Infeasibility is therefore an obstruction.
 
+    The left side A is fixed, so the system has a closed form.  With M the
+    e, s1, s2 columns of A, det M = -1 and M^-1 A = [[1,0,0,1,1,1],
+    [0,1,0,1,0,1], [0,0,1,1,1,0]] >= 0.  So a nonnegative solution exists
+    iff M^-1 r >= 0, and then (M^-1 r, 0, 0, 0) is one; otherwise the row of
+    M^-1 that goes negative is a one-line refutation (decide_obstruction_system).
+
     Inputs are validated against the pullback predicates: s_pullback and
     e_gamma_total must come from the quadric side (a + b = c), h_pullback
     from the plane side (a = b = c).
@@ -527,11 +546,28 @@ def build_obstruction_system(
     h = h_pullback.coeffs
     g = e_gamma_total.coeffs
     m = deg_s_mult
+    rhs = [h[i] - s[i] + m * g[i] + off for i, off in enumerate((-1, -1, 1))]
     return FeasibilitySystem(
         unknowns=OBSTRUCTION_UNKNOWNS,
-        equations=(
-            LinearEquation((1, -1, 0, 0, 1, 0), h[0] - s[0] + m * g[0] - 1),
-            LinearEquation((1, 0, -1, 0, 0, 1), h[1] - s[1] + m * g[1] - 1),
-            LinearEquation((1, -1, -1, -1, 0, 0), h[2] - s[2] + m * g[2] + 1),
-        ),
+        equations=tuple(map(LinearEquation, _OBSTRUCTION_LHS, rhs)),
     )
+
+
+def decide_obstruction_system(system: FeasibilitySystem) -> FeasibilityCertificate:
+    """Decide a system from build_obstruction_system exactly, with no search:
+    sign analysis's chain when it decides, else the closed form given there."""
+    if tuple(eq.coeffs for eq in system.equations) != _OBSTRUCTION_LHS:
+        raise ValueError("left side is not the restriction system's")
+    chain = _sign_analysis(system)
+    if chain is None:
+        r = [eq.rhs for eq in system.equations]
+        x = [sum(map(mul, y, r)) for y in _OBSTRUCTION_INVERSE]
+        for y, v in zip(_OBSTRUCTION_INVERSE, x):
+            if v < 0:
+                coeffs = tuple(sum(map(mul, y, col)) for col in zip(*_OBSTRUCTION_LHS))
+                terms = tuple((f"eq{i}", c) for i, c in enumerate(y, 1) if c)
+                chain = (ChainLine("d1", coeffs, v, "combination", combination=terms),)
+                break
+        else:
+            return FeasibilityCertificate(system, "FEASIBLE", witness=(*x, 0, 0, 0))
+    return FeasibilityCertificate(system, "INFEASIBLE", chain=chain)

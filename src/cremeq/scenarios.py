@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .family_checks import dominance_count, grassmannian_dim, monoid_ce_predicate
-from .feasibility import build_obstruction_system, solve_nonneg
+from .feasibility import build_obstruction_system, decide_obstruction_system
 from .lattice import DivisorClass
 from .log_kodaira import negativity_certificate
 from .projection import plane_image_incidence, project_to_p3
@@ -269,14 +269,8 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             raise ScenarioConfigError(
                 f"{origin}: field 'contracting_divisor' needs integer 'h' and 'e'"
             )
-    if "obstruction" in cfg:
-        ob = cfg["obstruction"]
-        if not isinstance(ob, dict) or (
-            "bound" in ob and not (_is_int(ob["bound"]) and ob["bound"] >= 0)
-        ):
-            raise ScenarioConfigError(
-                f"{origin}: field 'obstruction.bound' must be a nonnegative integer"
-            )
+    if "obstruction" in cfg and not isinstance(cfg["obstruction"], dict):
+        raise ScenarioConfigError(f"{origin}: field 'obstruction' must be a map")
 
 
 def _validate_surface_model(model: dict, origin: str, need) -> None:
@@ -406,7 +400,6 @@ def list_scenarios() -> tuple[str, ...]:
 @dataclass
 class _Run:
     cfg: dict
-    bound: int | None
     computed: dict = field(default_factory=dict)
     narrative: list[str] = field(default_factory=list)
     certificates: dict = field(default_factory=dict)
@@ -530,16 +523,13 @@ def _obstruction(run: _Run) -> None:
             "obstruction bookkeeping is defined for the quadric "
             f"model, not {model.surface.lattice.name!r}"
         )
-    bound = run.bound
-    if bound is None:
-        bound = run.cfg["obstruction"].get("bound", 20)
     s_pull = model.deg_s * sz.from_f0.pullback(model.surface.polarization)
     e_total = sz.from_f0.pullback(model.gamma_w)
     h_pull = sz.from_plane.pullback(sz.plane((1,)))
     system = build_obstruction_system(
         sz, s_pull, h_pull, e_total, deg_s_mult=DOUBLE_LOCUS_MULTIPLICITY
     )
-    cert = solve_nonneg(system, bound=bound)
+    cert = decide_obstruction_system(system)
     run.computed["obstruction_status"] = cert.status
     final = cert.final_line_solved
     if final is None and cert.chain:
@@ -627,9 +617,9 @@ _STAGES = {
 }
 
 
-def run_scenario(scenario: Scenario, bound: int | None = None) -> ScenarioReport:
+def run_scenario(scenario: Scenario) -> ScenarioReport:
     cfg = scenario.config
-    run = _Run(cfg, bound)
+    run = _Run(cfg)
     stages = [s for s in _STAGES[scenario.kind] if s.block is None or s.block in cfg]
 
     def fail(keys, exc) -> None:

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import HealthCheck, settings
 
+from cremeq.feasibility import ChainLine, FeasibilitySystem
 from cremeq.surfaces import make_bordiga, make_dp6, make_f0_sextic, make_sz
 
 # keep the whole suite inside the runtime budget; the heavyweight randomized
@@ -60,3 +62,39 @@ def random_unimodular(rng: random.Random, n: int):
     rows = (unit_triangular(True) * unit_triangular(False)).tolist()
     rng.shuffle(rows)
     return [[int(v) for v in row] for row in rows]
+
+
+def box_has_solution(system: FeasibilitySystem, bound: int) -> bool:
+    """Brute-force oracle: enumerate the whole box with numpy, no pruning.
+
+    Deliberately shares no code with the solver's interval-pruned search.
+    """
+    n = len(system.unknowns)
+    if n == 0:
+        return all(eq.rhs == 0 for eq in system.equations)
+    grids = np.indices((bound + 1,) * n).reshape(n, -1).astype(np.int64)
+    ok = np.ones(grids.shape[1], dtype=bool)
+    for eq in system.equations:
+        lhs = np.zeros(grids.shape[1], dtype=np.int64)
+        for coeff, row in zip(eq.coeffs, grids):
+            lhs += coeff * row
+        ok &= lhs == eq.rhs
+    return bool(ok.any())
+
+
+def rebuild_chain(d: dict) -> tuple[FeasibilitySystem, tuple[ChainLine, ...]]:
+    """The system and chain of a certificate's JSON form, ready to replay."""
+    system = FeasibilitySystem.from_json_dict(d["system"])
+    chain = tuple(
+        ChainLine(
+            line_id=e["id"],
+            coeffs=tuple(e["coeffs"]),
+            rhs=e["rhs"],
+            kind=e["kind"],
+            combination=tuple((r, m) for r, m in e.get("combination", [])),
+            source=e.get("source"),
+            variable=e.get("variable"),
+        )
+        for e in d["chain"]
+    )
+    return system, chain

@@ -14,10 +14,9 @@ import random
 
 import numpy as np
 
-from conftest import random_symmetric_gram
+from conftest import box_has_solution, random_symmetric_gram, rebuild_chain
 from cremeq.family_checks import dominance_count, grassmannian_dim, monoid_ce_predicate
 from cremeq.feasibility import (
-    ChainLine,
     FeasibilitySystem,
     LinearEquation,
     build_obstruction_system,
@@ -65,23 +64,6 @@ def _verdict(num: int, label: str, problems: list, capfd) -> None:
     assert ok, problems
 
 
-def _rebuild_chain(d: dict) -> tuple[FeasibilitySystem, tuple[ChainLine, ...]]:
-    system = FeasibilitySystem.from_json_dict(d["system"])
-    chain = tuple(
-        ChainLine(
-            line_id=e["id"],
-            coeffs=tuple(e["coeffs"]),
-            rhs=e["rhs"],
-            kind=e["kind"],
-            combination=tuple((r, m) for r, m in e.get("combination", [])),
-            source=e.get("source"),
-            variable=e.get("variable"),
-        )
-        for e in d["chain"]
-    )
-    return system, chain
-
-
 def test_acceptance_1_sextic_ruled(capfd):
     problems = []
 
@@ -115,7 +97,7 @@ def test_acceptance_1_sextic_ruled(capfd):
     check("restriction system infeasible", cert.status == "INFEASIBLE")
     check("chain ends in e = -2 - b2", cert.final_line_solved == "e = -2 - b2")
     try:
-        replay_chain(*_rebuild_chain(cert.to_json_dict()))
+        replay_chain(*rebuild_chain(cert.to_json_dict()))
     except ValueError as exc:
         check(f"chain replays ({exc})", False)
 
@@ -215,21 +197,6 @@ def test_acceptance_4_families(capfd):
 
 
 # --- criterion 5: seeded randomized suites, >= 1000 cases each ---------------
-
-
-def _box_has_solution(system: FeasibilitySystem, bound: int) -> bool:
-    # plain enumeration of the whole box; shares nothing with the solver
-    n = len(system.unknowns)
-    if n == 0:
-        return all(eq.rhs == 0 for eq in system.equations)
-    grids = np.indices((bound + 1,) * n).reshape(n, -1).astype(np.int64)
-    ok = np.ones(grids.shape[1], dtype=bool)
-    for eq in system.equations:
-        lhs = np.zeros(grids.shape[1], dtype=np.int64)
-        for coeff, row in zip(eq.coeffs, grids):
-            lhs += coeff * row
-        ok &= lhs == eq.rhs
-    return bool(ok.any())
 
 
 def _suite_bilinearity(rng, check):
@@ -344,7 +311,7 @@ def _suite_solver_vs_oracle(rng, check):
         bound = 5
         cert = solve_nonneg(system, bound=bound)
         statuses.add(cert.status)
-        has = _box_has_solution(system, bound)
+        has = box_has_solution(system, bound)
         if cert.status == "FEASIBLE":
             check("oracle agrees (feasible)", has)
         elif cert.status == "INFEASIBLE":
@@ -365,7 +332,7 @@ def _suite_solver_vs_oracle(rng, check):
             ),
         )
         cert = solve_nonneg(system, bound=3)
-        has = _box_has_solution(system, 3)
+        has = box_has_solution(system, 3)
         check("oracle agrees (wide)", (cert.status == "FEASIBLE") == has)
     check("all three statuses exercised", {"FEASIBLE", "INFEASIBLE", "UNKNOWN_UP_TO_BOUND"} <= statuses)
 

@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import box_has_solution
+from cremeq import feasibility
 from cremeq.feasibility import (
     OBSTRUCTION_UNKNOWNS,
     ChainLine,
@@ -13,6 +16,7 @@ from cremeq.feasibility import (
     LinearEquation,
     PullbackPredicateError,
     build_obstruction_system,
+    decide_obstruction_system,
     replay_chain,
     solve_nonneg,
 )
@@ -25,24 +29,6 @@ def S(unknowns, *eqs):
         unknowns=tuple(unknowns),
         equations=tuple(LinearEquation(tuple(c), r) for c, r in eqs),
     )
-
-
-def box_has_solution(system: FeasibilitySystem, bound: int) -> bool:
-    """Brute-force oracle: enumerate the whole box with numpy, no pruning.
-
-    Deliberately shares no code with the solver's interval-pruned search.
-    """
-    n = len(system.unknowns)
-    if n == 0:
-        return all(eq.rhs == 0 for eq in system.equations)
-    grids = np.indices((bound + 1,) * n).reshape(n, -1)
-    ok = np.ones(grids.shape[1], dtype=bool)
-    for eq in system.equations:
-        lhs = np.zeros(grids.shape[1], dtype=np.int64)
-        for c, row in zip(eq.coeffs, grids):
-            lhs += c * row.astype(np.int64)
-        ok &= lhs == eq.rhs
-    return bool(ok.any())
 
 
 @pytest.fixture
@@ -272,6 +258,18 @@ def test_system_json_roundtrip(sextic_system):
     assert FeasibilitySystem.from_json_dict(sextic_system.to_json_dict()) == sextic_system
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("coeffs", [1.9, 0]), ("coeffs", "13"), ("rhs", 1.9), ("rhs", "13")],
+)
+def test_system_from_json_refuses_non_integers(field, value):
+    # int() would truncate 1.9 to 1 and read "13" as 13 or as (1, 3)
+    d = S(("x", "y"), ((1, 0), 3)).to_json_dict()
+    d["equations"][0][field] = value
+    with pytest.raises(TypeError):
+        FeasibilitySystem.from_json_dict(d)
+
+
 def test_solver_agrees_with_box_oracle_random():
     rng = random.Random(427)
     statuses = set()
@@ -316,6 +314,48 @@ def test_sextic_system_has_no_witness_up_to_50(sextic_system):
     any_witness = bool(((b1 >= 0) & (b2 >= 0) & (a >= 0)).any())
     assert not any_witness
     assert solve_nonneg(sextic_system, bound=50).status == "INFEASIBLE"
+
+
+def test_obstruction_closed_form(sextic_system):
+    # the proof: M = the e, s1, s2 columns of A is unimodular and M^-1 A >= 0,
+    # and the refutation rows in the code are the rows of M^-1
+    A = sympy.Matrix([eq.coeffs for eq in sextic_system.equations])
+    M = A[:, :3]
+    assert M.det() == -1
+    assert M.inv() * A == sympy.Matrix(
+        [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 1, 0]]
+    )
+    assert feasibility._OBSTRUCTION_INVERSE == tuple(map(tuple, M.inv().tolist()))
+
+    # the check: every right side in [-8, 8]^3 against the image of A on [0, 4]^6
+    grid = np.indices((5,) * 6).reshape(6, -1)
+    image = set(map(tuple, (np.array(A.tolist(), dtype=np.int64) @ grid).T.tolist()))
+    statuses = set()
+    for r in np.ndindex(17, 17, 17):
+        r = tuple(v - 8 for v in r)
+        system = FeasibilitySystem(
+            OBSTRUCTION_UNKNOWNS,
+            tuple(LinearEquation(eq.coeffs, v) for eq, v in zip(sextic_system.equations, r)),
+        )
+        cert = decide_obstruction_system(system)
+        statuses.add(cert.status)
+        if r in image:
+            assert cert.status == "FEASIBLE", r
+        if cert.status == "FEASIBLE":
+            assert max(cert.witness) > 4 or r in image, r
+        else:
+            assert cert.status == "INFEASIBLE", r
+            replay_chain(system, cert.chain)
+    assert statuses == {"FEASIBLE", "INFEASIBLE"}
+
+    rows = [(eq.coeffs, eq.rhs) for eq in sextic_system.equations]
+    other = S(OBSTRUCTION_UNKNOWNS, *rows[:2], ((1, -1, -1, -1, 0, 1), 0))
+    with pytest.raises(ValueError, match="left side"):
+        decide_obstruction_system(other)
+
+
+def test_obstruction_closed_form_keeps_the_sign_analysis_chain(sextic_system):
+    assert decide_obstruction_system(sextic_system) == solve_nonneg(sextic_system)
 
 
 @given(

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import rebuild_chain
 from cremeq.cli import main
+from cremeq.feasibility import replay_chain
 from cremeq.scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -104,7 +106,7 @@ def test_load_scenario_top_level_must_be_object(tmp_path):
         (lambda c: c.update(deg_gamma="ten"), "field 'deg_gamma'"),
         (lambda c: c.update(deg_gamma=0), "field 'deg_gamma' must be a positive integer, got 0"),
         (lambda c: c.update(deg_gamma=-3), "field 'deg_gamma' must be a positive integer, got -3"),
-        (lambda c: c.update(obstruction={"bound": -1}), "field 'obstruction.bound'"),
+        (lambda c: c.update(obstruction=5), "field 'obstruction' must be a map"),
         (lambda c: c.update(contracting_divisor={"h": 1}), "contracting_divisor"),
         (
             lambda c: c["classes"].append({"label": "bad", "coeffs": [1, 0.5]}),
@@ -269,6 +271,38 @@ def test_stage_error_fails_report_without_a_pinned_key(name, block):
     assert report.overall == "FAIL"
 
 
+def test_stale_obstruction_bound_is_ignored(tmp_path):
+    cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
+    cfg["obstruction"] = {"bound": -1}
+    report = run_scenario(load_scenario(write_config(tmp_path, cfg)))
+    assert report.to_json() == run_scenario(builtin_scenario("sextic-ruled")).to_json()
+
+
+# a, b >= 3 would need the double point class without a line or conic
+# incidence class (NotPlanarError today)
+@pytest.mark.parametrize(
+    "polarization", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4)], ids=str
+)
+def test_f0_restriction_system_is_decided_without_search(monkeypatch, polarization):
+    def no_search(system, bound):
+        raise AssertionError("the pipeline searched a box")
+
+    monkeypatch.setattr("cremeq.feasibility._search_witness", no_search)
+    cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
+    inline_f0("polarization", value=list(polarization))(cfg)
+    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    assert report.computed["obstruction_status"] == "INFEASIBLE"
+    replay_chain(*rebuild_chain(report.certificates["obstruction"]))
+    if polarization == (1, 2):
+        # sign analysis decides nothing here; the e row of M^-1 does
+        assert report.computed["obstruction_final_line"] == "e = -2 - a - b1 - b2"
+        assert report.certificates["obstruction"]["chain"] == [{
+            "id": "d1", "coeffs": [1, 0, 0, 1, 1, 1], "rhs": -2, "kind": "combination",
+            "combination": [["eq1", 1], ["eq2", 1], ["eq3", -1]],
+        }]
+    assert run_scenario(builtin_scenario("sextic-ruled")).overall == "PASS"
+
+
 def test_verdict_rule_needs_true_not_one(monkeypatch):
     monkeypatch.setattr("cremeq.scenarios.fano_check", lambda t, rays: 1)
     report = run_scenario(builtin_scenario("dp6"))
@@ -387,14 +421,9 @@ def test_cli_check_all_out_writes_every_report(tmp_path, capsys):
         assert (out / f"{name}.md").read_text() == report.to_markdown()
 
 
-def test_cli_bound_flag_accepted(capsys):
-    assert main(["run", "sextic-ruled", "--bound", "50"]) == 0
-    capsys.readouterr()
-
-
-def test_cli_negative_bound_exits_2(capsys):
+def test_cli_bound_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "sextic-ruled", "--bound", "-1"])
+        main(["run", "sextic-ruled", "--bound", "50"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "--bound" in captured.err
