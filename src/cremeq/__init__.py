@@ -43,7 +43,6 @@ from .projection import (
     NotPlanarError,
     ProjectionModel,
     double_curve_degree,
-    double_point_class,
     plane_image_incidence,
     project_to_p3,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "divisor_dot",
     "dominance_count",
     "double_curve_degree",
-    "double_point_class",
     "dp6_line_classes",
     "fano_check",
     "genus",

@@ -8,6 +8,8 @@ Usage:
 `run` prints the markdown report to stdout and exits 0 exactly when every
 expected value matched.  `check-all` runs the built-in scenarios and prints a
 one-line verdict each; --out also writes DIR/<name>.json and DIR/<name>.md.
+Exit 1 means a report failed; exit 2 a config that cannot be loaded or an
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -35,6 +37,19 @@ def _resolve(target: str):
         f"{target!r} is neither a built-in scenario nor an existing file "
         f"(built-ins: {', '.join(BUILTIN_SCENARIOS)})"
     )
+
+
+def _write(files: dict[Path, str], directory: Path | None = None) -> bool:
+    """Write each file, making directory first; an OSError is reported, not raised."""
+    try:
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
+        for path, text in files.items():
+            path.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -66,14 +81,15 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "check-all":
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
         reports = [run_scenario(builtin_scenario(name)) for name in list_scenarios()]
         for report in reports:
             print(f"{report.name}: {report.overall}")
-            if args.out:
-                (Path(args.out) / f"{report.name}.json").write_text(report.to_json())
-                (Path(args.out) / f"{report.name}.md").write_text(report.to_markdown())
+        if args.out:
+            out = Path(args.out)
+            files = {out / f"{r.name}.{ext}": text for r in reports
+                     for ext, text in (("json", r.to_json()), ("md", r.to_markdown()))}
+            if not _write(files, out):
+                return 2
         return 0 if all(report.overall == "PASS" for report in reports) else 1
 
     try:
@@ -83,10 +99,13 @@ def main(argv=None) -> int:
         return 2
     report = run_scenario(scenario)
     print(report.to_markdown())
+    files = {}
     if args.json_out:
-        Path(args.json_out).write_text(report.to_json())
+        files[Path(args.json_out)] = report.to_json()
     if args.md_out:
-        Path(args.md_out).write_text(report.to_markdown())
+        files[Path(args.md_out)] = report.to_markdown()
+    if not _write(files):
+        return 2
     return 0 if report.overall == "PASS" else 1
 
 

@@ -35,6 +35,7 @@ from operator import index, mul
 
 from .lattice import DivisorClass, LatticeMismatchError
 from .linalg import eliminate
+from .projection import DOUBLE_LOCUS_MULTIPLICITY
 from .surfaces import SZModel
 
 
@@ -214,7 +215,7 @@ class FeasibilityCertificate:
                 raise ValueError("FEASIBLE requires a witness")
             if len(self.witness) != len(self.system.unknowns):
                 raise ValueError("witness has wrong length")
-            if any(w < 0 for w in self.witness):
+            if any(index(w) < 0 for w in self.witness):
                 raise ValueError("witness must be nonnegative")
             for eq in self.system.equations:
                 if sum(c * w for c, w in zip(eq.coeffs, self.witness)) != eq.rhs:
@@ -496,14 +497,14 @@ def build_obstruction_system(
     s_pullback: DivisorClass,
     h_pullback: DivisorClass,
     e_gamma_total: DivisorClass,
-    deg_s_mult: int = 2,
 ) -> FeasibilitySystem:
     """Restriction bookkeeping on the two-blowdown lattice, as equations.
 
     Suppose some composite of blow-ups resolves a birational map carrying the
     projected surface to a plane, and restrict everything to the rank-3
     lattice.  The surface-side hyperplane pullback decomposes as the common
-    restriction class plus deg_s_mult copies of e_gamma_total plus a vertical
+    restriction class plus m = DOUBLE_LOCUS_MULTIPLICITY copies of
+    e_gamma_total (the projection is double along its curve) plus a vertical
     part (s1, s2, s1+s2) plus one forced exceptional (0, 0, a+1); the
     plane-side pullback decomposes as the same restriction class plus
     (e, e, e) plus (b1+1, b2+1, 0).  The "+1" offsets are fixed: each blowdown
@@ -540,12 +541,10 @@ def build_obstruction_system(
         raise PullbackPredicateError(
             f"h_pullback {h_pullback.coeffs} fails the plane-side predicate a = b = c"
         )
-    if deg_s_mult < 1:
-        raise ValueError("deg_s_mult must be a positive integer")
     s = s_pullback.coeffs
     h = h_pullback.coeffs
     g = e_gamma_total.coeffs
-    m = deg_s_mult
+    m = DOUBLE_LOCUS_MULTIPLICITY
     rhs = [h[i] - s[i] + m * g[i] + off for i, off in enumerate((-1, -1, 1))]
     return FeasibilitySystem(
         unknowns=OBSTRUCTION_UNKNOWNS,

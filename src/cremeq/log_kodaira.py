@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-FIXED_MULTIPLICITY = 2
+from .projection import DOUBLE_LOCUS_MULTIPLICITY as FIXED_MULTIPLICITY
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,24 @@ point class, which is pinned down by exact linear algebra: its pairing with
 the hyperplane class is twice the double-curve degree, and its pairing with
 any curve whose image is a line or conic is the count of double points on the
 image, recoverable from a residual plane-curve intersection.
+
+Every number here is a dot product with a precomputed row.  With G the gram
+matrix, the surface holds G.H; project_to_p3 builds one row G.C per incidence
+class C, which gives both the count on C (C^2 = C . G C) and C's equation in
+the solve (X.C = X . G C, as G is symmetric).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .lattice import DivisorClass, LatticeMismatchError, pair
+from .lattice import DivisorClass, LatticeMismatchError
 from .linalg import mat_vec, solve_exact
 from .surfaces import PolarizedSurface
+
+# a generic projection is double along its double curve
+DOUBLE_LOCUS_MULTIPLICITY = 2
 
 
 class NotPlanarError(ValueError):
@@ -44,13 +53,13 @@ def double_curve_degree(d: int, g: int) -> int:
     return delta
 
 
-def _incidence(deg_s: int, h: DivisorClass, c: DivisorClass) -> int:
+def _incidence(surface: PolarizedSurface, c: DivisorClass, row: tuple[int, ...]) -> int:
     """Double points on the image of c, counted through a residual plane curve.
 
-    delta = c.H is the degree of the image.  For delta in {1, 2} the image is
-    a plane curve; a general plane through it cuts the surface in the image
-    plus a residual curve of degree deg_s - delta, and chasing the two ways of
-    counting the residual intersection gives
+    row is G c.  delta = c.H is the degree of the image.  For delta in {1, 2}
+    the image is a plane curve; a general plane through it cuts the surface in
+    the image plus a residual curve of degree deg_s - delta, and chasing the
+    two ways of counting the residual intersection gives
 
         delta * (deg_s - delta - 1) + c^2.
 
@@ -59,41 +68,65 @@ def _incidence(deg_s: int, h: DivisorClass, c: DivisorClass) -> int:
     spans 3-space and meets the double curve in fewer points than the class
     arithmetic suggests), so larger delta is refused rather than answered.
     """
-    delta = pair(c, h)
+    delta = sum(map(mul, c.coeffs, surface.gh))
     if delta not in (1, 2):
         raise NotPlanarError(
             f"image of class {c.coeffs} has degree {delta}; "
             "incidence count needs a line or conic image"
         )
-    return delta * (deg_s - delta - 1) + pair(c, c)
+    return delta * (surface.degree - delta - 1) + sum(map(mul, row, c.coeffs))
 
 
 def plane_image_incidence(model: "ProjectionModel", c: DivisorClass) -> int:
     """Number of double points of the projection lying on the image of c."""
-    return _incidence(model.deg_s, model.surface.polarization, c)
+    surface = model.surface
+    c._check_same(surface.polarization)
+    return _incidence(surface, c, mat_vec(surface.lattice.gram, c.coeffs))
 
 
-def double_point_class(
+@dataclass(frozen=True)
+class ProjectionModel:
+    """A surface together with the arithmetic of one generic projection."""
+
+    surface: PolarizedSurface
+    deg_gamma: int
+    gamma_w: DivisorClass
+
+    def __post_init__(self) -> None:
+        if self.gamma_w.lattice != self.surface.lattice:
+            raise LatticeMismatchError("double point class on the wrong lattice")
+        if sum(map(mul, self.surface.gh, self.gamma_w.coeffs)) != 2 * self.deg_gamma:
+            raise IncidenceContradictionError(
+                "double point class violates the degree constraint"
+            )
+
+    @property
+    def deg_s(self) -> int:
+        return self.surface.degree
+
+
+def project_to_p3(
     surface: PolarizedSurface,
-    deg_gamma: int,
-    incidences: list[tuple[DivisorClass, int]],
-) -> DivisorClass:
-    """Solve for the double point class from declared incidence counts.
+    incidence_classes: list[DivisorClass],
+    deg_gamma: int | None = None,
+) -> ProjectionModel:
+    """Assemble the projection model of a polarized surface.
 
-    Unknown: a class X with pair(X, C) = k for every declared (C, k) and
-    pair(X, H) = 2 * deg_gamma (each double point has two preimages).  The
-    solve is exact; an inconsistent system raises
-    IncidenceContradictionError, an underdetermined one IncidenceRankError.
+    The double-curve degree comes from the projection formula unless
+    overridden.  The double point class X is solved for exactly: X.C is the
+    incidence count of each supplied line/conic class C, and X.H = 2 * deg_gamma
+    (each double point has two preimages).  An inconsistent system, or one that
+    solves only with fractional coefficients, raises
+    IncidenceContradictionError; an underdetermined one IncidenceRankError.
     """
     lat = surface.lattice
-    if any(c.lattice != lat for c, _ in incidences):
+    if any(c.lattice != lat for c in incidence_classes):
         raise LatticeMismatchError("incidence class on the wrong lattice")
-    # pair(X, C) = (G C) . X, since the gram matrix G is symmetric
-    constraints = [*incidences, (surface.polarization, 2 * deg_gamma)]
-    status, xs = solve_exact(
-        [mat_vec(lat.gram, c.coeffs) for c, _ in constraints],
-        [k for _, k in constraints],
-    )
+    if deg_gamma is None:
+        deg_gamma = double_curve_degree(surface.degree, surface.sectional_genus)
+    rows = [mat_vec(lat.gram, c.coeffs) for c in incidence_classes]
+    counts = [_incidence(surface, c, row) for c, row in zip(incidence_classes, rows)]
+    status, xs = solve_exact([*rows, surface.gh], [*counts, 2 * deg_gamma])
     if status == "inconsistent":
         raise IncidenceContradictionError(
             "incidence counts and double-curve degree admit no common class"
@@ -107,72 +140,4 @@ def double_point_class(
         raise IncidenceContradictionError(
             "incidence system solves only with fractional coefficients"
         )
-    return lat(tuple(int(x) for x in xs))
-
-
-@dataclass(frozen=True)
-class ProjectionModel:
-    """A surface together with the arithmetic of one generic projection."""
-
-    surface: PolarizedSurface
-    deg_s: int
-    sect_genus: int
-    deg_gamma: int
-    gamma_w: DivisorClass
-
-    def __post_init__(self) -> None:
-        if self.gamma_w.lattice != self.surface.lattice:
-            raise LatticeMismatchError("double point class on the wrong lattice")
-        if pair(self.gamma_w, self.surface.polarization) != 2 * self.deg_gamma:
-            raise IncidenceContradictionError(
-                "double point class violates the degree constraint"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "surface": self.surface.to_json_dict(),
-            "deg_s": self.deg_s,
-            "sect_genus": self.sect_genus,
-            "deg_gamma": self.deg_gamma,
-            "gamma_w": list(self.gamma_w.coeffs),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ProjectionModel":
-        surf = PolarizedSurface.from_json_dict(d["surface"])
-        return ProjectionModel(
-            surface=surf,
-            deg_s=d["deg_s"],
-            sect_genus=d["sect_genus"],
-            deg_gamma=d["deg_gamma"],
-            gamma_w=surf.lattice(d["gamma_w"]),
-        )
-
-
-def project_to_p3(
-    surface: PolarizedSurface,
-    incidence_classes: list[DivisorClass],
-    deg_gamma: int | None = None,
-) -> ProjectionModel:
-    """Assemble the projection model of a polarized surface.
-
-    deg_s and the sectional genus come from the polarization; the double-curve
-    degree from the projection formula unless overridden; the double point
-    class from the incidence counts of the supplied line/conic classes.
-    """
-    deg_s = surface.degree
-    sect_genus = surface.sectional_genus
-    if deg_gamma is None:
-        deg_gamma = double_curve_degree(deg_s, sect_genus)
-    h = surface.polarization
-    incidences = [
-        (c, _incidence(deg_s, h, c)) for c in incidence_classes
-    ]
-    gw = double_point_class(surface, deg_gamma, incidences)
-    return ProjectionModel(
-        surface=surface,
-        deg_s=deg_s,
-        sect_genus=sect_genus,
-        deg_gamma=deg_gamma,
-        gamma_w=gw,
-    )
+    return ProjectionModel(surface, deg_gamma, lat(tuple(int(x) for x in xs)))

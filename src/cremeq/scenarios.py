@@ -34,7 +34,6 @@ from .surfaces import (
     make_sz,
 )
 from .threefold import (
-    DOUBLE_LOCUS_MULTIPLICITY,
     BlowupThreefold,
     RayKind,
     classify_second_ray,
@@ -241,7 +240,12 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             raise ScenarioConfigError(
                 f"{origin}: field 'classes[{i}].coeffs' must be a list of integers"
             )
-        labels.add(label(entry["label"], f"classes[{i}].label"))
+        lab = label(entry["label"], f"classes[{i}].label")
+        if lab in labels:
+            raise ScenarioConfigError(
+                f"{origin}: field 'classes[{i}].label' repeats label {lab!r}"
+            )
+        labels.add(lab)
     for field in ("incidence_classes", "curve_cone", "ray_probes", "fano_rays"):
         vals = need(field)
         if not isinstance(vals, list) or not vals:
@@ -526,9 +530,7 @@ def _obstruction(run: _Run) -> None:
     s_pull = model.deg_s * sz.from_f0.pullback(model.surface.polarization)
     e_total = sz.from_f0.pullback(model.gamma_w)
     h_pull = sz.from_plane.pullback(sz.plane((1,)))
-    system = build_obstruction_system(
-        sz, s_pull, h_pull, e_total, deg_s_mult=DOUBLE_LOCUS_MULTIPLICITY
-    )
+    system = build_obstruction_system(sz, s_pull, h_pull, e_total)
     cert = decide_obstruction_system(system)
     run.computed["obstruction_status"] = cert.status
     final = cert.final_line_solved

@@ -19,7 +19,8 @@ come with them; the obstruction machinery lives on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 from .lattice import (
     BlowupMap,
@@ -27,25 +28,31 @@ from .lattice import (
     IntersectionLattice,
     LatticeMismatchError,
     genus,
-    pair,
 )
+from .linalg import mat_vec
 
 
 @dataclass(frozen=True)
 class PolarizedSurface:
+    """A lattice with a hyperplane class H; G.H is computed once and cannot be set."""
+
     lattice: IntersectionLattice
     polarization: DivisorClass
     name: str
+    gh: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.polarization.lattice != self.lattice:
             raise LatticeMismatchError(
                 f"polarization of {self.name!r} lives on the wrong lattice"
             )
+        object.__setattr__(
+            self, "gh", mat_vec(self.lattice.gram, self.polarization.coeffs)
+        )
 
     @property
     def degree(self) -> int:
-        return pair(self.polarization, self.polarization)
+        return sum(map(mul, self.polarization.coeffs, self.gh))
 
     @property
     def sectional_genus(self) -> int:

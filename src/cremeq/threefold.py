@@ -12,9 +12,10 @@ functionals on curve classes:
 
 where Gamma_W is the double point class.  Both are dot products: with G the
 gram matrix of the surface lattice, C.H = C . (G H) and C.Gamma_W =
-C . (G Gamma_W), and the two rows G H and G Gamma_W are computed once per
-threefold.  The second contraction of the two-ray game on T is classified by
-the signs of these numbers on the chosen extremal curve class.
+C . (G Gamma_W).  The surface holds the row G H, and the threefold computes
+G Gamma_W once, at construction.  The second contraction of the two-ray game
+on T is classified by the signs of these numbers on the chosen extremal curve
+class.
 """
 
 from __future__ import annotations
@@ -24,29 +25,27 @@ from dataclasses import dataclass, field
 
 from .lattice import DivisorClass
 from .linalg import mat_vec
-from .projection import ProjectionModel
+from .projection import DOUBLE_LOCUS_MULTIPLICITY, ProjectionModel
 
-# a generic projection is double along its double curve, and K of P^3 is -4H
-DOUBLE_LOCUS_MULTIPLICITY = 2
+# K of P^3 is -4H
 AMBIENT_CANONICAL_DEGREE = -4
 
 
 @dataclass(frozen=True)
 class BlowupThreefold:
-    """T over one projection model, with the rows G.H and G.Gamma_W.
+    """T over one projection model, with the row G.Gamma_W.
 
-    The rows are derived from the model at construction and cannot be set.
+    The row is derived from the model at construction and cannot be set; G.H
+    is the surface's.
     """
 
     projection: ProjectionModel
-    gh: tuple[int, ...] = field(init=False, repr=False, compare=False)
     g_gamma_w: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.projection
-        gram = p.surface.lattice.gram
-        object.__setattr__(self, "gh", mat_vec(gram, p.surface.polarization.coeffs))
-        object.__setattr__(self, "g_gamma_w", mat_vec(gram, p.gamma_w.coeffs))
+        row = mat_vec(p.surface.lattice.gram, p.gamma_w.coeffs)
+        object.__setattr__(self, "g_gamma_w", row)
 
 
 class RayKind(enum.Enum):
@@ -88,7 +87,7 @@ def divisor_dot(t: BlowupThreefold, he: tuple[int, int], c: DivisorClass) -> int
     """
     c._check_same(t.projection.surface.polarization)
     a, b = he
-    c_h, c_gamma_w = mat_vec((t.gh, t.g_gamma_w), c.coeffs)
+    c_h, c_gamma_w = mat_vec((t.projection.surface.gh, t.g_gamma_w), c.coeffs)
     return a * c_h + b * c_gamma_w
 
 

@@ -61,8 +61,6 @@ def test_obstruction_input_validation(sz, f0):
         build_obstruction_system(sz, s, s, g)
     with pytest.raises(LatticeMismatchError):
         build_obstruction_system(sz, f0.polarization, h, g)
-    with pytest.raises(ValueError, match="positive"):
-        build_obstruction_system(sz, s, h, g, deg_s_mult=0)
 
 
 def test_sextic_system_infeasible_with_hand_chain(sextic_system):
@@ -252,6 +250,16 @@ def test_certificate_validation_rejects_bad_witness(sextic_system):
         FeasibilityCertificate(system=simple, status="UNKNOWN_UP_TO_BOUND")
     with pytest.raises(ValueError, match="status"):
         FeasibilityCertificate(system=simple, status="MAYBE")
+
+
+def test_feasible_certificate_refuses_non_integer_witness():
+    # 2x = 1 holds at x = 0.5, but a FEASIBLE certificate claims an integer point
+    half = S(("x",), ((2,), 1))
+    for w in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            FeasibilityCertificate(system=half, status="FEASIBLE", witness=(w,))
+    ok = FeasibilityCertificate(system=S(("x",), ((2,), 2)), status="FEASIBLE", witness=(1,))
+    assert ok.witness == (1,)
 
 
 def test_system_json_roundtrip(sextic_system):

@@ -1,19 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cremeq.lattice import pair
+from conftest import random_unimodular
+from cremeq.lattice import LatticeMismatchError, change_basis, pair
 from cremeq.projection import (
     IncidenceContradictionError,
     IncidenceRankError,
     NotPlanarError,
     ProjectionModel,
     double_curve_degree,
-    double_point_class,
     plane_image_incidence,
     project_to_p3,
 )
-from cremeq.surfaces import dp6_line_classes
+from cremeq.surfaces import PolarizedSurface, dp6_line_classes, make_blowup_plane
 
 
 def test_double_curve_degree_table():
@@ -78,44 +80,79 @@ def test_deg_gamma_override_changes_the_class(f0):
 def test_double_point_class_underdetermined(f0):
     with pytest.raises(IncidenceRankError):
         # the degree row alone cannot pin both coordinates
-        double_point_class(f0, 10, [])
+        project_to_p3(f0, [])
 
 
-def test_double_point_class_contradiction(f0):
-    line = f0.lattice((0, 1))
-    with pytest.raises(IncidenceContradictionError):
-        # line row forces x1 = 4; feeding an inconsistent duplicate breaks it
-        double_point_class(f0, 10, [(line, 4), (line, 5)])
+def test_double_point_class_contradiction(bordiga):
+    lat = bordiga.lattice
+    ms = [lat(tuple(1 if j == i else 0 for j in range(11))) for i in range(1, 11)]
+    c = lat((1, -1, -1) + (0,) * 8)
+    # the exceptionals force x_i = -3 and the conic then x0 = 11, so the
+    # degree row reads 44 - 30 = 14, not 2*8
+    with pytest.raises(IncidenceContradictionError, match="no common class"):
+        project_to_p3(bordiga, ms + [c], deg_gamma=8)
 
 
 def test_double_point_class_fractional(dp6):
     lines = dp6_line_classes(dp6.lattice)
-    incs = [(ell, 3) for ell in lines[:3]]
     # degree row becomes 3*x0 - 9 = 2*8: solvable only with x0 = 25/3
     with pytest.raises(IncidenceContradictionError, match="fractional"):
-        double_point_class(dp6, 8, incs)
+        project_to_p3(dp6, list(lines[:3]), deg_gamma=8)
 
 
 def test_double_point_class_wrong_lattice(f0, dp6):
-    with pytest.raises(Exception, match="lattice"):
-        double_point_class(f0, 10, [(dp6.polarization, 3)])
+    with pytest.raises(LatticeMismatchError, match="lattice"):
+        project_to_p3(f0, [dp6.polarization])
 
 
 def test_projection_model_validates_degree_pairing(f0):
     with pytest.raises(IncidenceContradictionError, match="degree"):
         ProjectionModel(
             surface=f0,
-            deg_s=6,
-            sect_genus=0,
             deg_gamma=10,
             gamma_w=f0.lattice((4, 9)),  # pairs to 21, needs 20
         )
 
 
-def test_projection_model_json_roundtrip(f0):
-    model = project_to_p3(f0, [f0.lattice((0, 1))])
-    back = ProjectionModel.from_json_dict(model.to_json_dict())
-    assert back == model
+def test_projection_model_degrees_come_from_the_surface(f0):
+    gamma_w = f0.lattice((4, 8))
+    with pytest.raises(TypeError):
+        ProjectionModel(surface=f0, deg_s=3, deg_gamma=10, gamma_w=gamma_w)
+    with pytest.raises(TypeError):
+        PolarizedSurface(lattice=f0.lattice, polarization=f0.polarization, name="x", gh=(1, 1))
+    model = ProjectionModel(surface=f0, deg_gamma=10, gamma_w=gamma_w)
+    assert (model.deg_s, f0.gh) == (6, (3, 1))
+    with pytest.raises(AttributeError):
+        model.deg_s = 2
+
+
+@pytest.mark.parametrize("rank", range(11, 24))
+def test_projection_of_dense_rebased_blowups_matches_closed_forms(rank):
+    # Bl_n P^2 with H = 7L - E_1 - ... - E_n: each E_i is a line with k
+    # double points, and H and the E_i pin Gamma_W = (head, -k, ..., -k)
+    rng = random.Random(4000 + rank)
+    n = rank - 1
+    standard = make_blowup_plane(n, (7,) + (-1,) * n)
+    a = random_unimodular(rng, rank)
+    bc = change_basis(
+        standard.lattice,
+        [tuple(row[j] for row in a) for j in range(rank)],
+        tuple(f"B{j}" for j in range(rank)),
+    )
+    h = bc.to_new(standard.polarization)
+    surface = PolarizedSurface(lattice=bc.new, polarization=h, name="dense")
+    lines = [bc.to_new(standard.lattice(tuple(int(i == j) for i in range(rank))))
+             for j in range(1, rank)]
+    model = project_to_p3(surface, lines)
+    deg_s = 49 - n
+    deg_gamma = (deg_s - 1) * (deg_s - 2) // 2 - 15
+    k = deg_s - 3
+    assert (surface.degree, model.deg_s, model.deg_gamma) == (pair(h, h), deg_s, deg_gamma)
+    assert bc.to_old(model.gamma_w).coeffs == ((2 * deg_gamma + n * k) // 7,) + (-k,) * n
+    for c in lines:
+        delta = pair(c, h)
+        count = delta * (deg_s - delta - 1) + pair(c, c)
+        assert plane_image_incidence(model, c) == count == pair(model.gamma_w, c) == k
 
 
 @given(st.integers(1, 40))

@@ -102,6 +102,10 @@ def test_load_scenario_top_level_must_be_object(tmp_path):
             lambda c: c["classes"][0].update(label={"x": 1}),
             "field 'classes\\[0\\].label' must be",
         ),
+        (
+            lambda c: c["classes"].append({"label": "line_ruling", "coeffs": [1, 1]}),
+            "field 'classes\\[2\\].label' repeats label 'line_ruling'",
+        ),
         (lambda c: c.update(curve_cone=[["a"]]), "field 'curve_cone\\[0\\]' must be"),
         (lambda c: c.update(deg_gamma="ten"), "field 'deg_gamma'"),
         (lambda c: c.update(deg_gamma=0), "field 'deg_gamma' must be a positive integer, got 0"),
@@ -419,6 +423,22 @@ def test_cli_check_all_out_writes_every_report(tmp_path, capsys):
         assert (out / f"{name}.json").read_bytes() == (golden / f"{name}.json").read_bytes()
         report = run_scenario(builtin_scenario(name))
         assert (out / f"{name}.md").read_text() == report.to_markdown()
+
+
+def test_cli_run_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["run", "dp6", "--json", str(missing)]) == 2
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_cli_check_all_out_on_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["check-all", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}" in captured.err
+    assert captured.out.splitlines() == [f"{name}: PASS" for name in BUILTIN_SCENARIOS]
 
 
 def test_cli_bound_flag_is_gone(capsys):

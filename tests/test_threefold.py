@@ -155,8 +155,6 @@ def test_ray_numbers_are_pairings_on_dense_lattices(rank):
     half = random_class()
     model = ProjectionModel(
         surface=surface,
-        deg_s=surface.degree,
-        sect_genus=surface.sectional_genus,
         deg_gamma=pair(half, surface.polarization),
         gamma_w=2 * half,
     )
