@@ -51,7 +51,6 @@ from .scenarios import (
     ScenarioConfigError,
     ScenarioReport,
     builtin_scenario,
-    list_scenarios,
     load_scenario,
     run_scenario,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "grassmannian_dim",
     "is_nef_on",
     "kt_dot",
-    "list_scenarios",
     "load_scenario",
     "make_blowup_plane",
     "make_bordiga",

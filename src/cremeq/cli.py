@@ -22,7 +22,6 @@ from .scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioConfigError,
     builtin_scenario,
-    list_scenarios,
     load_scenario,
     run_scenario,
 )
@@ -74,14 +73,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name in list_scenarios():
+        for name in BUILTIN_SCENARIOS:
             sc = builtin_scenario(name)
             desc = sc.config.get("description", "")
             print(f"{name:15s} {desc}")
         return 0
 
     if args.command == "check-all":
-        reports = [run_scenario(builtin_scenario(name)) for name in list_scenarios()]
+        reports = [run_scenario(builtin_scenario(name)) for name in BUILTIN_SCENARIOS]
         for report in reports:
             print(f"{report.name}: {report.overall}")
         if args.out:

@@ -427,7 +427,7 @@ def _sign_analysis(system: FeasibilitySystem) -> tuple[ChainLine, ...] | None:
         k = len(rows_in)
         # [rows | I]: the identity block records each echelon row as an
         # integer combination of the input rows
-        ech, _, scales, _ = eliminate(
+        ech, _, scales = eliminate(
             [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows_in)],
             ncols=n + 1,
         )

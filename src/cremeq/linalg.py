@@ -31,20 +31,19 @@ def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
 
 def eliminate(
     rows: list[list[int]], ncols: int | None = None
-) -> tuple[list[list[int]], list[int], list[int], int]:
+) -> tuple[list[list[int]], list[int], list[int]]:
     """Bareiss forward elimination, pivoting only in the first ncols columns.
 
     There is no back-substitution: derived rows stay close to simple pairwise
     differences of the input rows, which keeps infeasibility chains readable.
 
-    Returns (ech, pivots, scales, sign).  ech is in echelon form in its first
+    Returns (ech, pivots, scales).  ech is in echelon form in its first
     ncols columns and every row is an integer combination of the input rows;
     the columns after ncols (an identity block, say) ride along.  pivots are
     the pivot columns, and row i of ech holds pivots[i] for i < len(pivots).
     ech[i] == scales[i] * (row i of forward rational Gaussian elimination with
-    the same pivots), and sign is the sign of the row permutation.  The
-    division by the previous pivot is exact by Sylvester's identity: every
-    entry is a minor of the input.
+    the same pivots).  The division by the previous pivot is exact by
+    Sylvester's identity: every entry is a minor of the input.
     """
     work = [list(r) for r in rows]
     m = len(work)
@@ -52,7 +51,6 @@ def eliminate(
         ncols = len(work[0]) if m else 0
     pivots: list[int] = []
     scales: list[int] = []
-    sign = 1
     prev = 1
     for col in range(ncols):
         k = len(pivots)
@@ -61,9 +59,7 @@ def eliminate(
         pr = next((r for r in range(k, m) if work[r][col] != 0), None)
         if pr is None:
             continue
-        if pr != k:
-            work[k], work[pr] = work[pr], work[k]
-            sign = -sign
+        work[k], work[pr] = work[pr], work[k]
         top = work[k]
         piv = top[col]
         for r in range(k + 1, m):
@@ -73,7 +69,7 @@ def eliminate(
         scales.append(prev)
         prev = piv
     scales += [prev] * (m - len(pivots))
-    return work, pivots, scales, sign
+    return work, pivots, scales
 
 
 def _last_pivot(ech: list[list[int]], pivots: list[int]) -> int:
@@ -105,21 +101,13 @@ def solve_exact(
     Overdetermined but consistent systems come back "unique".
     """
     n = len(matrix[0]) if matrix else 0
-    ech, pivots, _, _ = eliminate([list(row) + [b] for row, b in zip(matrix, rhs)])
+    ech, pivots, _ = eliminate([list(row) + [b] for row, b in zip(matrix, rhs)])
     if pivots and pivots[-1] == n:
         return "inconsistent", None
     if len(pivots) < n:
         return "underdetermined", None
     d = _last_pivot(ech, pivots)
     return "unique", [Fraction(row[0], d) for row in _back_substitute(ech, n, d)]
-
-
-def determinant(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix: the signed last Bareiss pivot."""
-    ech, pivots, _, sign = eliminate(matrix)
-    if len(pivots) < len(matrix):
-        return 0
-    return sign * _last_pivot(ech, pivots)
 
 
 def invert_unimodular(matrix: list[list[int]]) -> list[list[int]]:
@@ -132,9 +120,10 @@ def invert_unimodular(matrix: list[list[int]]) -> list[list[int]]:
     augmented = [
         list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)
     ]
-    ech, pivots, _, sign = eliminate(augmented, ncols=n)
+    ech, pivots, _ = eliminate(augmented, ncols=n)
+    # the last Bareiss pivot is +-det, and 0 below full rank
     d = _last_pivot(ech, pivots) if len(pivots) == n else 0
     if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {sign * d})")
+        raise ValueError(f"matrix is not unimodular (|det| = {abs(d)})")
     # the last pivot d is +-1, so d * A^-1 is integral and A^-1 = d * (d * A^-1)
     return [[d * x for x in row] for row in _back_substitute(ech, n, d)]

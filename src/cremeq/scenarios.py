@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple
 
 from .family_checks import dominance_count, grassmannian_dim, monoid_ce_predicate
 from .feasibility import build_obstruction_system, decide_obstruction_system
-from .lattice import DivisorClass
+from .lattice import DivisorClass, pair
 from .log_kodaira import negativity_certificate
-from .projection import plane_image_incidence, project_to_p3
+from .projection import project_to_p3
 from .surfaces import (
     PolarizedSurface,
     make_bordiga,
@@ -64,12 +64,12 @@ _NO_SEARCH_NOTE = (
 
 class _Rule(NamedTuple):
     key: str  # the computed key that carries the verdict
-    requires: dict  # computed values the verdict needs, equal in value and type
+    requires: dict  # computed values the verdict needs, compared by _same
     verdict: str  # the decisive verdict; INCONCLUSIVE when a requirement fails
     note: str = ""  # narrative line recorded when the rule decides
 
 
-# kind -> verdict rule.  Requirements compare types too, so 1 never passes as True.
+# kind -> verdict rule
 _VERDICT_RULES = {
     "projection": {
         "obstruction": _Rule("final_verdict", {"negativity": "NEGATIVE_CERTIFIED",
@@ -153,6 +153,15 @@ class ScenarioReport:
             out.append("```")
         out.append("")
         return "\n".join(out)
+
+
+def _same(a, b) -> bool:
+    """Equal in type and value, lists element by element: 1 is neither True nor 1.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def _is_int(v) -> bool:
@@ -273,8 +282,6 @@ def _validate_projection(cfg: dict, origin: str, need) -> None:
             raise ScenarioConfigError(
                 f"{origin}: field 'contracting_divisor' needs integer 'h' and 'e'"
             )
-    if "obstruction" in cfg and not isinstance(cfg["obstruction"], dict):
-        raise ScenarioConfigError(f"{origin}: field 'obstruction' must be a map")
 
 
 def _validate_surface_model(model: dict, origin: str, need) -> None:
@@ -397,10 +404,6 @@ def builtin_scenario(name: str) -> Scenario:
     return _parse_scenario(raw, f"builtin:{name}")
 
 
-def list_scenarios() -> tuple[str, ...]:
-    return BUILTIN_SCENARIOS
-
-
 @dataclass
 class _Run:
     cfg: dict
@@ -415,7 +418,7 @@ class _Stage(NamedTuple):
     run: Callable[[_Run], object]  # writes its part of the report, returns a product
     keys: Callable[[dict], list[str]]  # its computed keys, ERROR where unwritten on failure
     needs: str | None = None
-    block: str | None = None  # the optional config block that turns the stage on
+    when: Callable[[dict], bool] | None = None  # runs only if when(cfg); None: always
 
 
 def _surface(run: _Run):
@@ -450,8 +453,9 @@ def _model(run: _Run):
     )
     run.computed["double_curve_degree"] = model.deg_gamma
     run.computed["double_point_class"] = list(model.gamma_w.coeffs)
+    # the solve made Gamma_W . C equal to the residual count on each class C
     for lab in run.cfg["incidence_classes"]:
-        run.computed[f"incidence.{lab}"] = plane_image_incidence(model, table[lab])
+        run.computed[f"incidence.{lab}"] = pair(model.gamma_w, table[lab])
     run.narrative.append(
         f"double curve degree {model.deg_gamma}; double point class "
         f"{list(model.gamma_w.coeffs)}."
@@ -604,16 +608,17 @@ _STAGES = {
                needs="projection model"),
         _Stage("obstruction", _obstruction,
                lambda cfg: ["obstruction_status", "obstruction_final_line"],
-               needs="projection model", block="obstruction"),
+               needs="projection model",
+               when=lambda cfg: cfg["verdict_rule"] == "obstruction"),
     ),
     "family": (
         _Stage("monoid", _monoid, lambda cfg: ["monoid_ce", "boundary_verdict"],
-               block="monoid"),
+               when=lambda cfg: "monoid" in cfg),
         _Stage("grassmannian", _grassmannian, lambda cfg: ["grassmannian_dim"],
-               block="grassmannian"),
+               when=lambda cfg: "grassmannian" in cfg),
         _Stage("dominance", _dominance,
                lambda cfg: ["dimension_lhs", "dimension_rhs", "dominant_possible"],
-               block="dominance"),
+               when=lambda cfg: "dominance" in cfg),
         _Stage("notes", _notes, lambda cfg: []),
     ),
 }
@@ -622,7 +627,7 @@ _STAGES = {
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     cfg = scenario.config
     run = _Run(cfg)
-    stages = [s for s in _STAGES[scenario.kind] if s.block is None or s.block in cfg]
+    stages = [s for s in _STAGES[scenario.kind] if s.when is None or s.when(cfg)]
 
     def fail(keys, exc) -> None:
         msg = f"ERROR: {type(exc).__name__}: {exc}"
@@ -639,10 +644,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             fail(stage.keys(cfg), exc)
 
     rule = _VERDICT_RULES[scenario.kind][cfg["verdict_rule"]]
-    decided = all(
-        type(run.computed.get(k)) is type(v) and run.computed[k] == v
-        for k, v in rule.requires.items()
-    )
+    decided = all(_same(run.computed.get(k), v) for k, v in rule.requires.items())
     verdict = rule.verdict if decided else "INCONCLUSIVE"
     if decided and rule.note:
         run.narrative.append(rule.note)
@@ -651,7 +653,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 
     expected = cfg["expected"]
     verdicts = {
-        key: "PASS" if key in run.computed and run.computed[key] == entry["value"] else "FAIL"
+        key: "PASS" if key in run.computed and _same(run.computed[key], entry["value"])
+        else "FAIL"
         for key, entry in expected.items()
     }
     # a stage that raised or was skipped left no product, and fails the report

@@ -1,4 +1,11 @@
+import contextlib
+import functools
+import importlib
+import importlib.util
 import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,3 +105,51 @@ def rebuild_chain(d: dict) -> tuple[FeasibilitySystem, tuple[ChainLine, ...]]:
         for e in d["chain"]
     )
     return system, chain
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+BENCH_LAYERS = (
+    "cli", "lattice", "surfaces", "projection", "threefold", "log_kodaira", "feasibility",
+)
+BENCH_SEED = 1
+
+
+@functools.cache
+def load_workloads():
+    """The benchmark's workloads, from `bench/workloads.py`, loaded once."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# the library as a workload sees it: one attribute per layer module
+BENCH_LIB = SimpleNamespace(
+    **{layer: importlib.import_module(f"cremeq.{layer}") for layer in BENCH_LAYERS}
+)
+
+
+def no_span(name):
+    return contextlib.nullcontext()
+
+
+def pick(name):
+    """A small slice of one workload's seeded pool, built from scratch."""
+    pool = load_workloads()[name].build(BENCH_LIB, random.Random(BENCH_SEED))
+    if name == "dense-rank":
+        return [next(c for c in pool if c.rank == rank) for rank in (11, 23)]
+    if name == "witness-search":
+        # parity systems search the whole box, which is the slow part
+        return [c for c in pool if c.kind != "parity"][:24]
+    return pool
+
+
+def load_script(name):
+    """A script under `scripts/`, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

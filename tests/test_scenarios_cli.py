@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import rebuild_chain
+from cremeq import projection
 from cremeq.cli import main
 from cremeq.feasibility import replay_chain
 from cremeq.scenarios import (
@@ -11,7 +12,6 @@ from cremeq.scenarios import (
     Scenario,
     ScenarioConfigError,
     builtin_scenario,
-    list_scenarios,
     load_scenario,
     run_scenario,
 )
@@ -56,7 +56,6 @@ def perturbed_sextic(deg_gamma=11):
 
 
 def test_builtin_names_all_load():
-    assert list_scenarios() == BUILTIN_SCENARIOS
     for name in BUILTIN_SCENARIOS:
         sc = builtin_scenario(name)
         assert sc.name == name
@@ -110,7 +109,6 @@ def test_load_scenario_top_level_must_be_object(tmp_path):
         (lambda c: c.update(deg_gamma="ten"), "field 'deg_gamma'"),
         (lambda c: c.update(deg_gamma=0), "field 'deg_gamma' must be a positive integer, got 0"),
         (lambda c: c.update(deg_gamma=-3), "field 'deg_gamma' must be a positive integer, got -3"),
-        (lambda c: c.update(obstruction=5), "field 'obstruction' must be a map"),
         (lambda c: c.update(contracting_divisor={"h": 1}), "contracting_divisor"),
         (
             lambda c: c["classes"].append({"label": "bad", "coeffs": [1, 0.5]}),
@@ -257,29 +255,67 @@ def test_bad_class_fails_the_surface_stage_by_field():
     assert report.computed["final_verdict"] == "INCONCLUSIVE"
 
 
+def obstruction_rule_unpinned(cfg):
+    cfg["verdict_rule"] = "obstruction"
+    del cfg["expected"]["final_verdict"]
+
+
 @pytest.mark.parametrize(
-    "name, block",
+    "name, mutate, error",
     [
-        ("bordiga", {"obstruction": {"bound": 5}}),
-        ("family-open", {"dominance": {"param_space_dims": [1, 2], "grassmannian": [7, 3]}}),
+        ("dp6", obstruction_rule_unpinned, "defined for the quadric model, not 'Bl3P2'"),
+        (
+            "family-open",
+            lambda c: c.update(dominance={"param_space_dims": [1, 2], "grassmannian": [7, 3]}),
+            "need 0 <= k < n, got k=7, n=3",
+        ),
     ],
-    ids=["bordiga-obstruction", "family-open-dominance"],
+    ids=["dp6-obstruction", "family-open-dominance"],
 )
-def test_stage_error_fails_report_without_a_pinned_key(name, block):
+def test_stage_error_fails_report_without_a_pinned_key(name, mutate, error):
     cfg = json.loads(json.dumps(builtin_scenario(name).config))
-    cfg.update(block)
+    mutate(cfg)
     report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
     # every pinned value still matches; the error sits in unpinned keys only
     assert all(v == "PASS" for v in report.verdicts.values())
-    assert any(line.startswith("ERROR: ") for line in report.narrative)
+    assert any(line.startswith("ERROR: ") and error in line for line in report.narrative)
     assert report.overall == "FAIL"
 
 
 def test_stale_obstruction_bound_is_ignored(tmp_path):
-    cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
-    cfg["obstruction"] = {"bound": -1}
-    report = run_scenario(load_scenario(write_config(tmp_path, cfg)))
-    assert report.to_json() == run_scenario(builtin_scenario("sextic-ruled")).to_json()
+    # the verdict rule alone turns the stage on; on bordiga it would raise
+    for name in ("sextic-ruled", "bordiga"):
+        cfg = json.loads(json.dumps(builtin_scenario(name).config))
+        cfg["obstruction"] = {"bound": -1}
+        report = run_scenario(load_scenario(write_config(tmp_path, cfg)))
+        assert report.to_json() == run_scenario(builtin_scenario(name)).to_json()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("nef", 1), ("fano", 1.0), ("degree", 6.0), ("double_point_class", [9.0, -3, -3, -3])],
+    ids=["nef-1", "fano-1.0", "degree-6.0", "double_point_class-9.0"],
+)
+def test_pins_compare_type_and_value(key, value):
+    cfg = json.loads(json.dumps(builtin_scenario("dp6").config))
+    cfg["expected"][key]["value"] = value
+    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    assert report.computed[key] == value  # equal under ==, yet a different type
+    assert {k for k, v in report.verdicts.items() if v == "FAIL"} == {key}
+    assert report.overall == "FAIL"
+
+
+def test_each_incidence_class_is_counted_once(monkeypatch):
+    counted = []
+    incidence = projection._incidence
+
+    def counting(surface, c, row):
+        counted.append(c)
+        return incidence(surface, c, row)
+
+    monkeypatch.setattr(projection, "_incidence", counting)
+    assert run_scenario(builtin_scenario("bordiga")).overall == "PASS"
+    assert len(counted) == len(builtin_scenario("bordiga").config["incidence_classes"]) == 11
 
 
 # a, b >= 3 would need the double point class without a line or conic

@@ -1,15 +1,6 @@
-import importlib.util
 import re
-from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_negativity_sweep_runs_the_three_degree_six_surfaces(capsys):
