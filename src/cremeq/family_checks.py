@@ -8,7 +8,7 @@ d - 1 projects birationally from that point, hence is equivalent to a plane).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record, set_field
 
 
 def grassmannian_dim(k: int, n: int) -> int:
@@ -18,13 +18,20 @@ def grassmannian_dim(k: int, n: int) -> int:
     return (k + 1) * (n - k)
 
 
-@dataclass(frozen=True)
-class DimensionCount:
-    grassmannian: tuple[int, int]
-    param_space_dims: tuple[int, ...]
-    lhs: int
-    rhs: int
-    dominant_possible: bool
+class DimensionCount(Record):
+    def __init__(
+        self,
+        grassmannian: tuple[int, int],
+        param_space_dims: tuple[int, ...],
+        lhs: int,
+        rhs: int,
+        dominant_possible: bool,
+    ) -> None:
+        set_field(self, "grassmannian", grassmannian)
+        set_field(self, "param_space_dims", param_space_dims)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "dominant_possible", dominant_possible)
 
     def to_json_dict(self) -> dict:
         return {

@@ -29,10 +29,10 @@ in six nonnegative multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index, mul
 
+from ._record import Record, set_field
 from .lattice import DivisorClass, LatticeMismatchError
 from .linalg import eliminate
 from .projection import DOUBLE_LOCUS_MULTIPLICITY
@@ -57,27 +57,27 @@ def _render_terms(pairs: list[tuple[str, int]]) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class LinearEquation:
-    coeffs: tuple[int, ...]
-    rhs: int
+class LinearEquation(Record):
+    def __init__(self, coeffs: tuple[int, ...], rhs: int) -> None:
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "rhs", rhs)
 
     def render(self, names: tuple[str, ...]) -> str:
         pairs = [(n, c) for n, c in zip(names, self.coeffs) if c != 0]
         return f"{_render_terms(pairs)} = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class FeasibilitySystem:
-    unknowns: tuple[str, ...]
-    equations: tuple[LinearEquation, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.unknowns)) != len(self.unknowns):
+class FeasibilitySystem(Record):
+    def __init__(
+        self, unknowns: tuple[str, ...], equations: tuple[LinearEquation, ...]
+    ) -> None:
+        if len(set(unknowns)) != len(unknowns):
             raise ValueError("unknown names must be distinct")
-        for eq in self.equations:
-            if len(eq.coeffs) != len(self.unknowns):
+        for eq in equations:
+            if len(eq.coeffs) != len(unknowns):
                 raise ValueError("equation width does not match unknown count")
+        set_field(self, "unknowns", unknowns)
+        set_field(self, "equations", equations)
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,15 +98,24 @@ class FeasibilitySystem:
         )
 
 
-@dataclass(frozen=True)
-class ChainLine:
-    line_id: str
-    coeffs: tuple[int, ...]
-    rhs: int
-    kind: str  # "combination" | "nonneg_zero"
-    combination: tuple[tuple[str, int], ...] = ()
-    source: str | None = None
-    variable: str | None = None
+class ChainLine(Record):
+    def __init__(
+        self,
+        line_id: str,
+        coeffs: tuple[int, ...],
+        rhs: int,
+        kind: str,  # "combination" | "nonneg_zero"
+        combination: tuple[tuple[str, int], ...] = (),
+        source: str | None = None,
+        variable: str | None = None,
+    ) -> None:
+        set_field(self, "line_id", line_id)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "kind", kind)
+        set_field(self, "combination", combination)
+        set_field(self, "source", source)
+        set_field(self, "variable", variable)
 
     def render(self, names: tuple[str, ...]) -> str:
         eq = LinearEquation(self.coeffs, self.rhs).render(names)
@@ -201,32 +210,37 @@ def _solved_form(names: tuple[str, ...], coeffs: tuple[int, ...], rhs: int) -> s
     return out
 
 
-@dataclass(frozen=True)
-class FeasibilityCertificate:
-    system: FeasibilitySystem
-    status: str  # FEASIBLE | INFEASIBLE | UNKNOWN_UP_TO_BOUND
-    witness: tuple[int, ...] | None = None
-    chain: tuple[ChainLine, ...] = ()
-    bound: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.status == "FEASIBLE":
-            if self.witness is None:
+class FeasibilityCertificate(Record):
+    def __init__(
+        self,
+        system: FeasibilitySystem,
+        status: str,  # FEASIBLE | INFEASIBLE | UNKNOWN_UP_TO_BOUND
+        witness: tuple[int, ...] | None = None,
+        chain: tuple[ChainLine, ...] = (),
+        bound: int | None = None,
+    ) -> None:
+        if status == "FEASIBLE":
+            if witness is None:
                 raise ValueError("FEASIBLE requires a witness")
-            if len(self.witness) != len(self.system.unknowns):
+            if len(witness) != len(system.unknowns):
                 raise ValueError("witness has wrong length")
-            if any(index(w) < 0 for w in self.witness):
+            if any(index(w) < 0 for w in witness):
                 raise ValueError("witness must be nonnegative")
-            for eq in self.system.equations:
-                if sum(c * w for c, w in zip(eq.coeffs, self.witness)) != eq.rhs:
+            for eq in system.equations:
+                if sum(c * w for c, w in zip(eq.coeffs, witness)) != eq.rhs:
                     raise ValueError("witness fails an equation")
-        elif self.status == "INFEASIBLE":
-            replay_chain(self.system, self.chain)
-        elif self.status == "UNKNOWN_UP_TO_BOUND":
-            if self.bound is None:
+        elif status == "INFEASIBLE":
+            replay_chain(system, chain)
+        elif status == "UNKNOWN_UP_TO_BOUND":
+            if bound is None:
                 raise ValueError("UNKNOWN_UP_TO_BOUND must record the bound")
         else:
-            raise ValueError(f"unknown status {self.status!r}")
+            raise ValueError(f"unknown status {status!r}")
+        set_field(self, "system", system)
+        set_field(self, "status", status)
+        set_field(self, "witness", witness)
+        set_field(self, "chain", chain)
+        set_field(self, "bound", bound)
 
     @property
     def final_line_solved(self) -> str | None:

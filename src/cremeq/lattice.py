@@ -14,9 +14,9 @@ out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import index, mul
+from operator import index, mul, ne
 
+from ._record import Record, set_field
 from .linalg import invert_unimodular, mat_mul, mat_vec
 
 
@@ -28,30 +28,33 @@ class AdjunctionParityError(ValueError):
     """C.(C+K) came out odd, so the genus formula does not apply."""
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
-    name: str
-    basis: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    canonical_coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.basis)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
-            raise ValueError(f"gram matrix must be {n}x{n} for basis {self.basis}")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-        if len(self.canonical_coeffs) != n:
+class IntersectionLattice(Record):
+    def __init__(
+        self,
+        name: str,
+        basis: tuple[str, ...],
+        gram: tuple[tuple[int, ...], ...],
+        canonical_coeffs: tuple[int, ...],
+    ) -> None:
+        n = len(basis)
+        if len(gram) != n or any(len(row) != n for row in gram):
+            raise ValueError(f"gram matrix must be {n}x{n} for basis {basis}")
+        # row i against column i
+        if any(map(ne, map(tuple, gram), zip(*gram))):
+            raise ValueError("gram matrix must be symmetric")
+        if len(canonical_coeffs) != n:
             raise ValueError("canonical class has wrong length")
+        set_field(self, "name", name)
+        set_field(self, "basis", basis)
+        set_field(self, "gram", gram)
+        set_field(self, "canonical_coeffs", canonical_coeffs)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def __call__(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, tuple(index(c) for c in coeffs))
+        return DivisorClass(self, tuple(map(index, coeffs)))
 
     @property
     def canonical(self) -> "DivisorClass":
@@ -75,17 +78,15 @@ class IntersectionLattice:
         )
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    lattice: IntersectionLattice
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.lattice.dim:
+class DivisorClass(Record):
+    def __init__(self, lattice: IntersectionLattice, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != lattice.dim:
             raise ValueError(
-                f"class has {len(self.coeffs)} coefficients on a "
-                f"{self.lattice.dim}-dimensional lattice"
+                f"class has {len(coeffs)} coefficients on a "
+                f"{lattice.dim}-dimensional lattice"
             )
+        set_field(self, "lattice", lattice)
+        set_field(self, "coeffs", coeffs)
 
     def _check_same(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
@@ -135,8 +136,7 @@ def genus(c: DivisorClass) -> int:
     return t // 2 + 1
 
 
-@dataclass(frozen=True)
-class BlowupMap:
+class BlowupMap(Record):
     """Pullback along a point blow-up (or a composite of them).
 
     target coefficients of a pulled-back class are matrix @ source
@@ -146,30 +146,35 @@ class BlowupMap:
     satisfy K_target = pullback(K_source) + sum of exceptionals.
     """
 
-    source: IntersectionLattice
-    target: IntersectionLattice
-    matrix: tuple[tuple[int, ...], ...]  # shape target.dim x source.dim
-    exceptional_classes: tuple[DivisorClass, ...]
-
-    def __post_init__(self) -> None:
-        nt, ns = self.target.dim, self.source.dim
-        if len(self.matrix) != nt or any(len(r) != ns for r in self.matrix):
+    def __init__(
+        self,
+        source: IntersectionLattice,
+        target: IntersectionLattice,
+        matrix: tuple[tuple[int, ...], ...],  # shape target.dim x source.dim
+        exceptional_classes: tuple[DivisorClass, ...],
+    ) -> None:
+        nt, ns = target.dim, source.dim
+        if len(matrix) != nt or any(len(r) != ns for r in matrix):
             raise ValueError("pullback matrix has wrong shape")
         # row i of P^T G_target pairs column i of P (a pullback) with a class
-        pt_g = mat_mul(tuple(zip(*self.matrix)), self.target.gram)
-        if mat_mul(pt_g, self.matrix) != self.source.gram:
+        pt_g = mat_mul(tuple(zip(*matrix)), target.gram)
+        if mat_mul(pt_g, matrix) != source.gram:
             raise ValueError("pullback is not an isometry")
-        for e in self.exceptional_classes:
-            if e.lattice != self.target:
+        for e in exceptional_classes:
+            if e.lattice != target:
                 raise LatticeMismatchError("exceptional class on wrong lattice")
             if pair(e, e) != -1:
                 raise ValueError("exceptional class must have self-intersection -1")
             if any(mat_vec(pt_g, e.coeffs)):
                 raise ValueError("exceptional class must be orthogonal to pullbacks")
-        k = self.pullback(self.source.canonical)
-        for e in self.exceptional_classes:
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "matrix", matrix)
+        set_field(self, "exceptional_classes", exceptional_classes)
+        k = self.pullback(source.canonical)
+        for e in exceptional_classes:
             k = k + e
-        if k.coeffs != self.target.canonical_coeffs:
+        if k.coeffs != target.canonical_coeffs:
             raise ValueError("canonical classes violate K' = p*K + sum(E)")
 
     def pullback(self, c: DivisorClass) -> DivisorClass:
@@ -211,8 +216,7 @@ def blow_up_point(L: IntersectionLattice, label: str | None = None):
     return L2, BlowupMap(source=L, target=L2, matrix=matrix, exceptional_classes=(e,))
 
 
-@dataclass(frozen=True)
-class BasisChange:
+class BasisChange(Record):
     """Unimodular change of presentation of one lattice.
 
     new_basis[j] is the j-th new basis vector written in old coordinates.
@@ -220,10 +224,19 @@ class BasisChange:
     lattice are recomputed and therefore consistent by construction.
     """
 
-    old: IntersectionLattice
-    new: IntersectionLattice
-    matrix: tuple[tuple[int, ...], ...]  # columns = new basis in old coords
-    inverse: tuple[tuple[int, ...], ...] = field(repr=False)
+    _unshown = ("inverse",)
+
+    def __init__(
+        self,
+        old: IntersectionLattice,
+        new: IntersectionLattice,
+        matrix: tuple[tuple[int, ...], ...],  # columns = new basis in old coords
+        inverse: tuple[tuple[int, ...], ...],
+    ) -> None:
+        set_field(self, "old", old)
+        set_field(self, "new", new)
+        set_field(self, "matrix", matrix)
+        set_field(self, "inverse", inverse)
 
     def to_new(self, c: DivisorClass) -> DivisorClass:
         if c.lattice != self.old:

@@ -16,17 +16,22 @@ proves nothing either way; the certificate says INCONCLUSIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .projection import DOUBLE_LOCUS_MULTIPLICITY as FIXED_MULTIPLICITY
 
 
-@dataclass(frozen=True)
-class NegativityCertificate:
-    verdict: str  # NEGATIVE_CERTIFIED | INCONCLUSIVE
-    deg_s: int
-    deg_gamma: int
-    multiplicity: int = FIXED_MULTIPLICITY
+class NegativityCertificate(Record):
+    def __init__(
+        self,
+        verdict: str,  # NEGATIVE_CERTIFIED | INCONCLUSIVE
+        deg_s: int,
+        deg_gamma: int,
+        multiplicity: int = FIXED_MULTIPLICITY,
+    ) -> None:
+        set_field(self, "verdict", verdict)
+        set_field(self, "deg_s", deg_s)
+        set_field(self, "deg_gamma", deg_gamma)
+        set_field(self, "multiplicity", multiplicity)
 
     @property
     def inequality(self) -> str:

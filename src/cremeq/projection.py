@@ -16,9 +16,9 @@ the solve (X.C = X . G C, as G is symmetric).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
+from ._record import Record, set_field
 from .lattice import DivisorClass, LatticeMismatchError
 from .linalg import mat_vec, solve_exact
 from .surfaces import PolarizedSurface
@@ -84,21 +84,21 @@ def plane_image_incidence(model: "ProjectionModel", c: DivisorClass) -> int:
     return _incidence(surface, c, mat_vec(surface.lattice.gram, c.coeffs))
 
 
-@dataclass(frozen=True)
-class ProjectionModel:
+class ProjectionModel(Record):
     """A surface together with the arithmetic of one generic projection."""
 
-    surface: PolarizedSurface
-    deg_gamma: int
-    gamma_w: DivisorClass
-
-    def __post_init__(self) -> None:
-        if self.gamma_w.lattice != self.surface.lattice:
+    def __init__(
+        self, surface: PolarizedSurface, deg_gamma: int, gamma_w: DivisorClass
+    ) -> None:
+        if gamma_w.lattice != surface.lattice:
             raise LatticeMismatchError("double point class on the wrong lattice")
-        if sum(map(mul, self.surface.gh, self.gamma_w.coeffs)) != 2 * self.deg_gamma:
+        if sum(map(mul, surface.gh, gamma_w.coeffs)) != 2 * deg_gamma:
             raise IncidenceContradictionError(
                 "double point class violates the degree constraint"
             )
+        set_field(self, "surface", surface)
+        set_field(self, "deg_gamma", deg_gamma)
+        set_field(self, "gamma_w", gamma_w)
 
     @property
     def deg_s(self) -> int:

@@ -16,11 +16,11 @@ give byte-identical JSON (sorted keys, no timestamps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
+from ._record import Record, set_field
 from .family_checks import dominance_count, grassmannian_dim, monoid_ce_predicate
 from .feasibility import build_obstruction_system, decide_obstruction_system
 from .lattice import DivisorClass, pair
@@ -62,11 +62,18 @@ _NO_SEARCH_NOTE = (
 )
 
 
-class _Rule(NamedTuple):
-    key: str  # the computed key that carries the verdict
-    requires: dict  # computed values the verdict needs, compared by _same
-    verdict: str  # the decisive verdict; INCONCLUSIVE when a requirement fails
-    note: str = ""  # narrative line recorded when the rule decides
+class _Rule(Record):
+    def __init__(
+        self,
+        key: str,  # the computed key that carries the verdict
+        requires: dict,  # computed values the verdict needs, compared by _same
+        verdict: str,  # the decisive verdict; INCONCLUSIVE when a requirement fails
+        note: str = "",  # narrative line recorded when the rule decides
+    ) -> None:
+        set_field(self, "key", key)
+        set_field(self, "requires", requires)
+        set_field(self, "verdict", verdict)
+        set_field(self, "note", note)
 
 
 # kind -> verdict rule
@@ -92,23 +99,33 @@ _VERDICT_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    kind: str
-    config: dict
+class Scenario(Record):
+    def __init__(self, name: str, kind: str, config: dict) -> None:
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)
+        set_field(self, "config", config)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    name: str
-    kind: str
-    computed: dict
-    expected: dict
-    verdicts: dict
-    overall: str
-    narrative: tuple[str, ...]
-    certificates: dict
+class ScenarioReport(Record):
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        computed: dict,
+        expected: dict,
+        verdicts: dict,
+        overall: str,
+        narrative: tuple[str, ...],
+        certificates: dict,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)
+        set_field(self, "computed", computed)
+        set_field(self, "expected", expected)
+        set_field(self, "verdicts", verdicts)
+        set_field(self, "overall", overall)
+        set_field(self, "narrative", narrative)
+        set_field(self, "certificates", certificates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,8 +395,8 @@ def _validate_family(cfg: dict, origin: str) -> None:
 def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
-        raw = p.read_text()
-    except OSError as exc:
+        raw = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioConfigError(f"{p}: cannot read config: {exc}") from exc
     return _parse_scenario(raw, str(p))
 
@@ -400,25 +417,35 @@ def builtin_scenario(name: str) -> Scenario:
         raise ScenarioConfigError(
             f"no built-in scenario {name!r} (have {list(BUILTIN_SCENARIOS)})"
         )
-    raw = resources.files("cremeq").joinpath("data", f"{name}.json").read_text()
+    raw = resources.files("cremeq").joinpath("data", f"{name}.json").read_text(
+        encoding="utf-8"
+    )
     return _parse_scenario(raw, f"builtin:{name}")
 
 
-@dataclass
 class _Run:
-    cfg: dict
-    computed: dict = field(default_factory=dict)
-    narrative: list[str] = field(default_factory=list)
-    certificates: dict = field(default_factory=dict)
-    products: dict = field(default_factory=dict)  # stage name -> what it returned
+    def __init__(self, cfg: dict) -> None:
+        self.cfg = cfg
+        self.computed: dict = {}
+        self.narrative: list[str] = []
+        self.certificates: dict = {}
+        self.products: dict = {}  # stage name -> what it returned
 
 
-class _Stage(NamedTuple):
-    name: str  # a stage that needs this one is skipped as "<name> unavailable"
-    run: Callable[[_Run], object]  # writes its part of the report, returns a product
-    keys: Callable[[dict], list[str]]  # its computed keys, ERROR where unwritten on failure
-    needs: str | None = None
-    when: Callable[[dict], bool] | None = None  # runs only if when(cfg); None: always
+class _Stage(Record):
+    def __init__(
+        self,
+        name: str,  # a stage that needs this one is skipped as "<name> unavailable"
+        run: Callable[[_Run], object],  # writes its part of the report, returns a product
+        keys: Callable[[dict], list[str]],  # its computed keys, ERROR where unwritten on failure
+        needs: str | None = None,
+        when: Callable[[dict], bool] | None = None,  # runs only if when(cfg); None: always
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "run", run)
+        set_field(self, "keys", keys)
+        set_field(self, "needs", needs)
+        set_field(self, "when", when)
 
 
 def _surface(run: _Run):

@@ -19,9 +19,9 @@ come with them; the obstruction machinery lives on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
+from ._record import Record, set_field
 from .lattice import (
     BlowupMap,
     DivisorClass,
@@ -32,23 +32,20 @@ from .lattice import (
 from .linalg import mat_vec
 
 
-@dataclass(frozen=True)
-class PolarizedSurface:
+class PolarizedSurface(Record):
     """A lattice with a hyperplane class H; G.H is computed once and cannot be set."""
 
-    lattice: IntersectionLattice
-    polarization: DivisorClass
-    name: str
-    gh: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.polarization.lattice != self.lattice:
+    def __init__(
+        self, lattice: IntersectionLattice, polarization: DivisorClass, name: str
+    ) -> None:
+        if polarization.lattice != lattice:
             raise LatticeMismatchError(
-                f"polarization of {self.name!r} lives on the wrong lattice"
+                f"polarization of {name!r} lives on the wrong lattice"
             )
-        object.__setattr__(
-            self, "gh", mat_vec(self.lattice.gram, self.polarization.coeffs)
-        )
+        set_field(self, "lattice", lattice)
+        set_field(self, "polarization", polarization)
+        set_field(self, "name", name)
+        set_field(self, "gh", mat_vec(lattice.gram, polarization.coeffs))
 
     @property
     def degree(self) -> int:
@@ -164,8 +161,7 @@ def make_blowup_plane(n_points: int, polarization: tuple[int, ...], name: str | 
     )
 
 
-@dataclass(frozen=True)
-class SZModel:
+class SZModel(Record):
     """Plane blown up in two points, in the basis of its three (-1)-classes.
 
     Basis (F1, F2, M): the two point exceptionals and the strict transform of
@@ -180,9 +176,12 @@ class SZModel:
     for a class with coefficients (a, b, c).
     """
 
-    lattice: IntersectionLattice
-    from_f0: BlowupMap
-    from_plane: BlowupMap
+    def __init__(
+        self, lattice: IntersectionLattice, from_f0: BlowupMap, from_plane: BlowupMap
+    ) -> None:
+        set_field(self, "lattice", lattice)
+        set_field(self, "from_f0", from_f0)
+        set_field(self, "from_plane", from_plane)
 
     @property
     def f0(self) -> IntersectionLattice:

@@ -21,8 +21,8 @@ class.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
+from ._record import Record, set_field
 from .lattice import DivisorClass
 from .linalg import mat_vec
 from .projection import DOUBLE_LOCUS_MULTIPLICITY, ProjectionModel
@@ -31,21 +31,17 @@ from .projection import DOUBLE_LOCUS_MULTIPLICITY, ProjectionModel
 AMBIENT_CANONICAL_DEGREE = -4
 
 
-@dataclass(frozen=True)
-class BlowupThreefold:
+class BlowupThreefold(Record):
     """T over one projection model, with the row G.Gamma_W.
 
     The row is derived from the model at construction and cannot be set; G.H
     is the surface's.
     """
 
-    projection: ProjectionModel
-    g_gamma_w: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        p = self.projection
-        row = mat_vec(p.surface.lattice.gram, p.gamma_w.coeffs)
-        object.__setattr__(self, "g_gamma_w", row)
+    def __init__(self, projection: ProjectionModel) -> None:
+        row = mat_vec(projection.surface.lattice.gram, projection.gamma_w.coeffs)
+        set_field(self, "projection", projection)
+        set_field(self, "g_gamma_w", row)
 
 
 class RayKind(enum.Enum):
@@ -55,14 +51,22 @@ class RayKind(enum.Enum):
     UNCLASSIFIED = "UNCLASSIFIED"
 
 
-@dataclass(frozen=True)
-class RayVerdict:
-    ray: DivisorClass
-    s_dot: int
-    k_dot: int
-    kind: RayKind
-    contracting_divisor: tuple[int, int] | None = None
-    assumption: str | None = None
+class RayVerdict(Record):
+    def __init__(
+        self,
+        ray: DivisorClass,
+        s_dot: int,
+        k_dot: int,
+        kind: RayKind,
+        contracting_divisor: tuple[int, int] | None = None,
+        assumption: str | None = None,
+    ) -> None:
+        set_field(self, "ray", ray)
+        set_field(self, "s_dot", s_dot)
+        set_field(self, "k_dot", k_dot)
+        set_field(self, "kind", kind)
+        set_field(self, "contracting_divisor", contracting_divisor)
+        set_field(self, "assumption", assumption)
 
     def to_json_dict(self) -> dict:
         d: dict = {

@@ -439,6 +439,13 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+def test_cli_run_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(p)]) == 2
+    assert f"{p}: cannot read config: 'utf-8' codec" in capsys.readouterr().err
+
+
 def test_cli_check_all(capsys):
     assert main(["check-all"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
