@@ -15,10 +15,17 @@ certificate rather than a bare verdict:
   witness exists with entries up to the bound.  Deciding beyond that honestly
   would need integer-programming machinery this package deliberately avoids.
 
-Elimination is Bareiss integer elimination (forward only, each derived row
-divided down to the primitive multiple of its rational echelon row) followed
-by sign analysis; that is enough for the rank-3 systems in six unknowns this
-package cares about, and for plenty more.
+Sign analysis keeps one store of lines, the originals first, each with the
+integer combination of earlier lines it equals.  A round substitutes the
+forced zeros into every line once, and orients each line whose coefficients
+share a sign so that they read nonnegative.  The first line that then equates
+them to a negative constant ends the chain.  Failing that, the first that
+equates them to zero forces its unknowns to vanish, and the next round
+substitutes them.  Failing both, Bareiss integer elimination of the
+substituted lines (forward only, each derived row divided down to the
+primitive multiple of its rational echelon row) adds its new rows to the
+store.  That is enough for the rank-3 systems in six unknowns this package
+cares about, and for plenty more.
 
 build_obstruction_system encodes the restriction bookkeeping that obstructs
 moving a sextic ruled surface to a plane: on the two-blowdown lattice the
@@ -200,14 +207,8 @@ def _solved_form(names: tuple[str, ...], coeffs: tuple[int, ...], rhs: int) -> s
     idx = next((i for i, c in enumerate(coeffs) if c == 1), None)
     if idx is None:
         return None
-    out = f"{names[idx]} = {rhs}"
-    for j, c in enumerate(coeffs):
-        if j == idx or c == 0:
-            continue
-        mag = abs(c)
-        term = names[j] if mag == 1 else f"{mag}*{names[j]}"
-        out += f" - {term}" if c > 0 else f" + {term}"
-    return out
+    moved = [(n, -c) for j, (n, c) in enumerate(zip(names, coeffs)) if j != idx and c]
+    return f"{names[idx]} = " + _render_terms([(str(rhs), 1), *moved])
 
 
 class FeasibilityCertificate(Record):
@@ -337,112 +338,66 @@ def _ref_sort_key(ref: str) -> tuple[int, int]:
 def _sign_analysis(system: FeasibilitySystem) -> tuple[ChainLine, ...] | None:
     """An INFEASIBLE chain found by sign analysis, or None if signs decide nothing.
 
-    Eliminate, look for derived equations that are already decisive over
-    x >= 0 (a nonnegative combination equal to a negative constant kills the
-    system; equal to zero it forces its unknowns to vanish, which feeds back
-    into the scan).  Scanning prefers the original equations to derived rows,
-    so the shipped chains read like the hand derivation.
+    Rounds run as the module docstring says.  A store line is (coeffs, rhs,
+    terms), terms the combination of eq and z lines that it equals.  Scanning
+    the originals first keeps the shipped chains like the hand derivation.
     """
     names = system.unknowns
     n = len(names)
-    originals = [
-        (f"eq{i + 1}", eq.coeffs, eq.rhs) for i, eq in enumerate(system.equations)
+    lines = [
+        (eq.coeffs, eq.rhs, ((f"eq{i}", 1),))
+        for i, eq in enumerate(system.equations, 1)
     ]
+    seen = {line[:2] for line in lines}
     chain: list[ChainLine] = []
-    zero_line_for: dict[int, str] = {}
-    pool: list[tuple[tuple[int, ...], int, tuple[tuple[str, int], ...]]] = []
-    seen = {(c, r) for _, c, r in originals}
-    counter = {"d": 0, "z": 0}
-
-    def substituted(coeffs, terms):
-        out = list(coeffs)
-        acc = list(terms)
-        for v in sorted(zero_line_for):
-            if out[v] != 0:
-                acc.append((zero_line_for[v], -out[v]))
-                out[v] = 0
-        return tuple(out), tuple(acc)
-
-    def all_lines():
-        for ref, c, r in originals:
-            yield c, r, ((ref, 1),)
-        for c, r, terms in pool:
-            yield c, r, terms
-
-    def emit_combination(coeffs, rhs, terms) -> str:
-        counter["d"] += 1
-        lid = f"d{counter['d']}"
-        ordered = tuple(sorted(terms, key=lambda t: _ref_sort_key(t[0])))
-        chain.append(
-            ChainLine(lid, coeffs, rhs, "combination", combination=ordered)
-        )
-        return lid
-
-    def scan():
-        infeasible = None
-        force = None
-        for coeffs, rhs, terms in all_lines():
-            c2, t2 = substituted(coeffs, terms)
+    zeros: dict[int, str] = {}  # unknown index -> id of its nonneg_zero line
+    for _ in range(2 * n + 4):
+        subs = [
+            (
+                tuple(0 if v in zeros else c for v, c in enumerate(coeffs)),
+                rhs,
+                terms
+                + tuple((zeros[v], -coeffs[v]) for v in sorted(zeros) if coeffs[v]),
+            )
+            for coeffs, rhs, terms in lines
+        ]
+        oriented = []
+        for coeffs, rhs, terms in subs:
             # an all-zero row `0 = c` is oriented so that a nonzero c reads negative
-            if all(v >= 0 for v in c2) and (any(c2) or rhs <= 0):
-                cand = (c2, rhs, t2)
-            elif all(v <= 0 for v in c2):
-                cand = (
-                    tuple(-v for v in c2),
-                    -rhs,
-                    tuple((ref, -m) for ref, m in t2),
+            if all(v >= 0 for v in coeffs) and (any(coeffs) or rhs <= 0):
+                oriented.append((coeffs, rhs, terms))
+            elif all(v <= 0 for v in coeffs):
+                negated = tuple((ref, -m) for ref, m in terms)
+                oriented.append((tuple(-v for v in coeffs), -rhs, negated))
+        decisive = next((line for line in oriented if line[1] < 0), None) or next(
+            (line for line in oriented if line[1] == 0 and any(line[0])), None
+        )
+        if decisive is not None:
+            coeffs, rhs, terms = decisive
+            src = terms[0][0]
+            # an original equation that forces as it stands (its terms are
+            # ((eqi, 1),)) is its own source; any other line enters the chain
+            if rhs < 0 or terms != ((src, 1),):
+                src = f"d{len(chain) - len(zeros) + 1}"
+                ordered = tuple(sorted(terms, key=lambda t: _ref_sort_key(t[0])))
+                chain.append(
+                    ChainLine(src, coeffs, rhs, "combination", combination=ordered)
                 )
-            else:
-                continue
-            cc, rr, tt = cand
-            if rr < 0:
-                if infeasible is None:
-                    infeasible = cand
-            elif rr == 0 and any(v > 0 for v in cc):
-                if force is None:
-                    force = cand
-        return infeasible, force
-
-    def apply_force(cand) -> None:
-        cc, rr, tt = cand
-        if len(tt) == 1 and tt[0][1] == 1 and tt[0][0].startswith("eq"):
-            src = tt[0][0]  # an original equation already has the right form
-        else:
-            src = emit_combination(cc, rr, tt)
-        for v, cv in enumerate(cc):
-            if cv > 0 and v not in zero_line_for:
-                counter["z"] += 1
-                lid = f"z{counter['z']}"
+            if rhs < 0:
+                return tuple(chain)
+            for v in [v for v, c in enumerate(coeffs) if c > 0]:
+                zeros[v] = z = f"z{len(zeros) + 1}"
                 unit = tuple(int(i == v) for i in range(n))
                 chain.append(
-                    ChainLine(
-                        lid, unit, 0, "nonneg_zero", source=src, variable=names[v]
-                    )
+                    ChainLine(z, unit, 0, "nonneg_zero", source=src, variable=names[v])
                 )
-                zero_line_for[v] = lid
-
-    for _ in range(2 * n + 4):
-        infeasible, force = scan()
-        if infeasible is not None:
-            cc, rr, tt = infeasible
-            emit_combination(cc, rr, tt)
-            return tuple(chain)
-        if force is not None:
-            apply_force(force)
             continue
-        rows_in = []
-        basis_terms = []
-        for coeffs, rhs, terms in all_lines():
-            c2, t2 = substituted(coeffs, terms)
-            rows_in.append(list(c2) + [rhs])
-            basis_terms.append(t2)
-        if not rows_in:
-            break
-        k = len(rows_in)
         # [rows | I]: the identity block records each echelon row as an
-        # integer combination of the input rows
+        # integer combination of the substituted lines
+        rows = [[*c, r] for c, r, _ in subs]
+        k = len(rows)
         ech, _, scales = eliminate(
-            [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows_in)],
+            [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)],
             ncols=n + 1,
         )
         grew = False
@@ -450,28 +405,22 @@ def _sign_analysis(system: FeasibilitySystem) -> tuple[ChainLine, ...] | None:
             # row / scale is the rational echelon row; clear its denominators
             g = gcd(*row, scale) if scale > 0 else -gcd(*row, scale)
             row = [v // g for v in row]
-            coeffs2 = tuple(row[:n])
-            rhs2 = row[n]
-            if all(v == 0 for v in coeffs2) and rhs2 == 0:
-                continue
-            if (coeffs2, rhs2) in seen:
+            coeffs, rhs = tuple(row[:n]), row[n]
+            if not any(row[: n + 1]) or (coeffs, rhs) in seen:
                 continue
             acc: dict[str, int] = {}
-            for mult, terms in zip(row[n + 1 :], basis_terms):
-                if mult == 0:
-                    continue
+            for mult, (_, _, terms) in zip(row[n + 1 :], subs):
                 for ref, q in terms:
                     acc[ref] = acc.get(ref, 0) + mult * q
-            terms2 = tuple(
+            terms = tuple(
                 (ref, q)
                 for ref, q in sorted(acc.items(), key=lambda t: _ref_sort_key(t[0]))
-                if q != 0
+                if q
             )
-            if not terms2:
-                continue
-            pool.append((coeffs2, rhs2, terms2))
-            seen.add((coeffs2, rhs2))
-            grew = True
+            if terms:
+                lines.append((coeffs, rhs, terms))
+                seen.add((coeffs, rhs))
+                grew = True
         if not grew:
             break
     return None
@@ -531,6 +480,10 @@ def build_obstruction_system(
 
     in the six multiplicities, all of which must be nonnegative integers if
     the resolving surface exists.  Infeasibility is therefore an obstruction.
+    But on the pipeline's inputs it need not read the surface: the e row of
+    M^-1 r (below) is h1 + h2 - h3 - 3, which is -2 for every quadric-side
+    input when h is the pullback of a line, so a refutation by that row
+    alone says nothing about S.
 
     The left side A is fixed, so the system has a closed form.  With M the
     e, s1, s2 columns of A, det M = -1 and M^-1 A = [[1,0,0,1,1,1],

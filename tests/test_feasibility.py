@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -364,6 +368,59 @@ def test_obstruction_closed_form(sextic_system):
 
 def test_obstruction_closed_form_keeps_the_sign_analysis_chain(sextic_system):
     assert decide_obstruction_system(sextic_system) == solve_nonneg(sextic_system)
+
+
+def test_surface_free_systems_are_refuted(sz):
+    # This pins a known limitation of the encoding, not a wanted result: the
+    # e row of M^-1 r is h1 + h2 - h3 - 3 = -2 for every quadric-side input,
+    # so with h the pullback of a line the restriction system is refuted even
+    # with no surface in it, and on the smooth quadric, which is Cremona
+    # equivalent to a plane.  A change to the encoding must edit this test.
+    h = sz.from_plane.pullback(sz.plane((1,)))
+    zero = sz.from_f0.pullback(sz.f0((0, 0)))
+    quadric = 2 * sz.from_f0.pullback(sz.f0((1, 1)))
+    for s, final in ((zero, "s2 = -2 - a - b1"), (quadric, "e = -2 - b2")):
+        cert = decide_obstruction_system(build_obstruction_system(sz, s, h, zero))
+        assert cert.status == "INFEASIBLE"
+        assert cert.final_line_solved == final
+
+
+def test_sign_analysis_chains_are_pinned():
+    # Every chain byte for byte on a seeded corpus: random systems, then the
+    # restriction system's left side with every right side in [-8, 8]^3.
+    # Deciders added after sign analysis do not change what it returns.
+    rng = random.Random(19)
+    systems = []
+    for _ in range(1100):
+        n = rng.randint(1, 5)
+        eqs = [
+            (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-6, 6))
+            for _ in range(rng.randint(1, 4))
+        ]
+        systems.append(S(tuple(f"x{i}" for i in range(n)), *eqs))
+    for r in itertools.product(range(-8, 9), repeat=3):
+        equations = tuple(map(LinearEquation, feasibility._OBSTRUCTION_LHS, r))
+        systems.append(FeasibilitySystem(OBSTRUCTION_UNKNOWNS, equations))
+    lengths = Counter()
+    digests = []
+    for start in range(0, len(systems), 1000):
+        h = hashlib.sha256()
+        for system in systems[start : start + 1000]:
+            chain = feasibility._sign_analysis(system)
+            lengths[None if chain is None else len(chain)] += 1
+            lines = None if chain is None else [line.to_json_dict() for line in chain]
+            h.update(json.dumps(lines, sort_keys=True).encode() + b"\n")
+        digests.append(h.hexdigest())
+    assert lengths == {None: 2915, 1: 2892, 2: 4, 3: 14, 4: 9, 5: 176, 6: 1, 7: 2}
+    assert digests == [
+        "5da96e88ef986742c20fa9b72075a9aeaa863f13b02fd2f6eeea67928c4ce4e7",
+        "be649a02c15227e6e040c12435c445a966bd74661ff03471c00d65fa74718d19",
+        "c8adb0ce001468c9b45ac49826d41615ba8d8cba09a6a911bba07a782421c013",
+        "1f437b36cc847bc236eda9a9ab8be60e420d61db76bdc79c3472b020c4628e4f",
+        "7c0894947230519625ba56f12af64b75a9d3941066c8d9b5e3fae2f8313d9ece",
+        "b65a130f09fc3e0c362c0100fe2cc5713ab465b8b9e84947fe94dbd21df48df6",
+        "127e7bd00605056e3b5943182d5a1ca13c0145f922998af5de126ec4350be407",
+    ]
 
 
 @given(
