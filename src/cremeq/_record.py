@@ -3,10 +3,11 @@
 A record class subclasses Record and writes an explicit __init__ that checks
 its arguments and stores each one with set_field.  The parameters of that
 __init__ are the record's fields, in order: they are compared by ==, hashed,
-and shown by repr, except names listed in `_unshown`, which repr leaves out.
-A value that __init__ derives and stores under a name that is not a
-parameter is none of these.  Once built, a record cannot be assigned to or
-have an attribute deleted.
+and shown by repr.  They are the record's inputs only.  Whatever follows from
+them (a verdict, a count, a target lattice, an inverse matrix) __init__
+derives once and stores under a name that is not a parameter, so it is none
+of these and cannot be passed in to contradict the inputs.  Once built, a
+record cannot be assigned to or have an attribute deleted.
 
 No method is generated from source text at import, so defining a record
 class costs about as much as defining a plain one.
@@ -22,15 +23,12 @@ set_field = object.__setattr__
 
 
 class Record:
-    _unshown: tuple[str, ...] = ()
-
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
-        fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+        cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
         # one field gives the value itself, more give a tuple: either compares
         # and hashes as the fields do
-        cls._key = attrgetter(*fields)
-        cls._shown = tuple(f for f in fields if f not in cls._unshown)
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if self is other:
@@ -43,7 +41,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name: str, value) -> None:

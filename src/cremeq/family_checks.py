@@ -19,19 +19,24 @@ def grassmannian_dim(k: int, n: int) -> int:
 
 
 class DimensionCount(Record):
+    """A parameter space against G(k, n); lhs, rhs and the verdict are derived.
+
+    dominant_possible records lhs >= rhs; it is a necessary condition for the
+    parameterization to dominate, nothing more.
+    """
+
     def __init__(
-        self,
-        grassmannian: tuple[int, int],
-        param_space_dims: tuple[int, ...],
-        lhs: int,
-        rhs: int,
-        dominant_possible: bool,
+        self, grassmannian: tuple[int, int], param_space_dims: tuple[int, ...]
     ) -> None:
+        if any(d < 0 for d in param_space_dims):
+            raise ValueError("component dimensions must be nonnegative")
+        lhs = sum(param_space_dims)
+        rhs = grassmannian_dim(*grassmannian)
         set_field(self, "grassmannian", grassmannian)
         set_field(self, "param_space_dims", param_space_dims)
         set_field(self, "lhs", lhs)
         set_field(self, "rhs", rhs)
-        set_field(self, "dominant_possible", dominant_possible)
+        set_field(self, "dominant_possible", lhs >= rhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -44,22 +49,8 @@ class DimensionCount(Record):
 
 
 def dominance_count(dims: list[int], k: int, n: int) -> DimensionCount:
-    """Compare a parameter space dimension with dim G(k, n).
-
-    dominant_possible records lhs >= rhs; it is a necessary condition for the
-    parameterization to dominate, nothing more.
-    """
-    if any(d < 0 for d in dims):
-        raise ValueError("component dimensions must be nonnegative")
-    lhs = sum(dims)
-    rhs = grassmannian_dim(k, n)
-    return DimensionCount(
-        grassmannian=(k, n),
-        param_space_dims=tuple(dims),
-        lhs=lhs,
-        rhs=rhs,
-        dominant_possible=lhs >= rhs,
-    )
+    """Compare a parameter space dimension with dim G(k, n)."""
+    return DimensionCount((k, n), tuple(dims))
 
 
 def monoid_ce_predicate(degree: int, multiplicity: int) -> bool:

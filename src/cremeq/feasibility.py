@@ -212,17 +212,22 @@ def _solved_form(names: tuple[str, ...], coeffs: tuple[int, ...], rhs: int) -> s
 
 
 class FeasibilityCertificate(Record):
+    """A system with its evidence; the status is read off the evidence.
+
+    A witness makes it FEASIBLE, a chain INFEASIBLE, neither
+    UNKNOWN_UP_TO_BOUND, which needs the bound that was searched.
+    """
+
     def __init__(
         self,
         system: FeasibilitySystem,
-        status: str,  # FEASIBLE | INFEASIBLE | UNKNOWN_UP_TO_BOUND
         witness: tuple[int, ...] | None = None,
         chain: tuple[ChainLine, ...] = (),
         bound: int | None = None,
     ) -> None:
-        if status == "FEASIBLE":
-            if witness is None:
-                raise ValueError("FEASIBLE requires a witness")
+        if witness is not None:
+            if chain:
+                raise ValueError("a witness and a refutation chain contradict each other")
             if len(witness) != len(system.unknowns):
                 raise ValueError("witness has wrong length")
             if any(index(w) < 0 for w in witness):
@@ -230,18 +235,19 @@ class FeasibilityCertificate(Record):
             for eq in system.equations:
                 if sum(c * w for c, w in zip(eq.coeffs, witness)) != eq.rhs:
                     raise ValueError("witness fails an equation")
-        elif status == "INFEASIBLE":
+            status = "FEASIBLE"
+        elif chain:
             replay_chain(system, chain)
-        elif status == "UNKNOWN_UP_TO_BOUND":
-            if bound is None:
-                raise ValueError("UNKNOWN_UP_TO_BOUND must record the bound")
+            status = "INFEASIBLE"
+        elif bound is None:
+            raise ValueError("UNKNOWN_UP_TO_BOUND must record the bound")
         else:
-            raise ValueError(f"unknown status {status!r}")
+            status = "UNKNOWN_UP_TO_BOUND"
         set_field(self, "system", system)
-        set_field(self, "status", status)
         set_field(self, "witness", witness)
         set_field(self, "chain", chain)
         set_field(self, "bound", bound)
+        set_field(self, "status", status)
 
     @property
     def final_line_solved(self) -> str | None:
@@ -328,11 +334,10 @@ def _search_witness(system: FeasibilitySystem, bound: int) -> tuple[int, ...] | 
 
 
 def _ref_sort_key(ref: str) -> tuple[int, int]:
+    # store terms reference only the eq lines and the z lines
     if ref.startswith("eq"):
         return (0, int(ref[2:]))
-    if ref.startswith("z"):
-        return (1, int(ref[1:]))
-    return (2, int(ref[1:]))
+    return (1, int(ref[1:]))
 
 
 def _sign_analysis(system: FeasibilitySystem) -> tuple[ChainLine, ...] | None:
@@ -437,15 +442,9 @@ def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCerti
         raise ValueError("bound must be >= 0")
     chain = _sign_analysis(system)
     if chain is not None:
-        return FeasibilityCertificate(system=system, status="INFEASIBLE", chain=chain)
+        return FeasibilityCertificate(system=system, chain=chain)
     witness = _search_witness(system, bound)
-    if witness is not None:
-        return FeasibilityCertificate(
-            system=system, status="FEASIBLE", witness=witness, bound=bound
-        )
-    return FeasibilityCertificate(
-        system=system, status="UNKNOWN_UP_TO_BOUND", bound=bound
-    )
+    return FeasibilityCertificate(system=system, witness=witness, bound=bound)
 
 
 OBSTRUCTION_UNKNOWNS = ("e", "s1", "s2", "a", "b1", "b2")
@@ -535,5 +534,5 @@ def decide_obstruction_system(system: FeasibilitySystem) -> FeasibilityCertifica
                 chain = (ChainLine("d1", coeffs, v, "combination", combination=terms),)
                 break
         else:
-            return FeasibilityCertificate(system, "FEASIBLE", witness=(*x, 0, 0, 0))
-    return FeasibilityCertificate(system, "INFEASIBLE", chain=chain)
+            return FeasibilityCertificate(system, witness=(*x, 0, 0, 0))
+    return FeasibilityCertificate(system, chain=chain)

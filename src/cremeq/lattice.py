@@ -219,23 +219,31 @@ def blow_up_point(L: IntersectionLattice, label: str | None = None):
 class BasisChange(Record):
     """Unimodular change of presentation of one lattice.
 
-    new_basis[j] is the j-th new basis vector written in old coordinates.
-    to_new/to_old convert classes; the gram and canonical class of the new
-    lattice are recomputed and therefore consistent by construction.
+    The columns of matrix A are the new basis vectors in old coordinates;
+    labels and name are the new presentation's.  The new lattice (gram
+    A^T G A, canonical class A^-1 K) and the inverse A^-1 are derived from
+    them at construction.  to_new/to_old convert classes.
     """
-
-    _unshown = ("inverse",)
 
     def __init__(
         self,
         old: IntersectionLattice,
-        new: IntersectionLattice,
-        matrix: tuple[tuple[int, ...], ...],  # columns = new basis in old coords
-        inverse: tuple[tuple[int, ...], ...],
+        matrix: tuple[tuple[int, ...], ...],
+        labels: tuple[str, ...],
+        name: str,
     ) -> None:
+        inverse = tuple(map(tuple, invert_unimodular(matrix)))
+        new = IntersectionLattice(
+            name=name,
+            basis=labels,
+            gram=mat_mul(mat_mul(tuple(zip(*matrix)), old.gram), matrix),
+            canonical_coeffs=mat_vec(inverse, old.canonical_coeffs),
+        )
         set_field(self, "old", old)
-        set_field(self, "new", new)
         set_field(self, "matrix", matrix)
+        set_field(self, "labels", labels)
+        set_field(self, "name", name)
+        set_field(self, "new", new)
         set_field(self, "inverse", inverse)
 
     def to_new(self, c: DivisorClass) -> DivisorClass:
@@ -266,17 +274,5 @@ def change_basis(
     for j, v in enumerate(new_basis):
         if len(v) != n:
             raise ValueError(f"basis vector {j} has {len(v)} coordinates, need {n}")
-    A = tuple(zip(*new_basis))  # columns = new basis vectors
-    A_inv = invert_unimodular(A)
-    L2 = IntersectionLattice(
-        name=name or f"{L.name}#rebased",
-        basis=labels,
-        gram=mat_mul(mat_mul(new_basis, L.gram), A),
-        canonical_coeffs=mat_vec(A_inv, L.canonical_coeffs),
-    )
-    return BasisChange(
-        old=L,
-        new=L2,
-        matrix=A,
-        inverse=tuple(tuple(row) for row in A_inv),
-    )
+    # columns = new basis vectors
+    return BasisChange(L, tuple(zip(*new_basis)), labels, name or f"{L.name}#rebased")

@@ -17,21 +17,23 @@ proves nothing either way; the certificate says INCONCLUSIVE.
 from __future__ import annotations
 
 from ._record import Record, set_field
-from .projection import DOUBLE_LOCUS_MULTIPLICITY as FIXED_MULTIPLICITY
+from .projection import DOUBLE_LOCUS_MULTIPLICITY
 
 
 class NegativityCertificate(Record):
-    def __init__(
-        self,
-        verdict: str,  # NEGATIVE_CERTIFIED | INCONCLUSIVE
-        deg_s: int,
-        deg_gamma: int,
-        multiplicity: int = FIXED_MULTIPLICITY,
-    ) -> None:
-        set_field(self, "verdict", verdict)
+    """The degree test on (deg_s, deg_gamma); the verdict is derived from them."""
+
+    multiplicity = DOUBLE_LOCUS_MULTIPLICITY
+
+    def __init__(self, deg_s: int, deg_gamma: int) -> None:
+        if deg_s <= 0:
+            raise ValueError("surface degree must be positive")
+        if deg_gamma <= 0:
+            raise ValueError("double curve degree must be positive")
+        verdict = "NEGATIVE_CERTIFIED" if deg_s < deg_gamma else "INCONCLUSIVE"
         set_field(self, "deg_s", deg_s)
         set_field(self, "deg_gamma", deg_gamma)
-        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "verdict", verdict)
 
     @property
     def inequality(self) -> str:
@@ -50,9 +52,4 @@ class NegativityCertificate(Record):
 
 def negativity_certificate(deg_s: int, deg_gamma: int) -> NegativityCertificate:
     """Certify negativity when deg_s < deg_gamma; otherwise INCONCLUSIVE."""
-    if deg_s <= 0:
-        raise ValueError("surface degree must be positive")
-    if deg_gamma <= 0:
-        raise ValueError("double curve degree must be positive")
-    verdict = "NEGATIVE_CERTIFIED" if deg_s < deg_gamma else "INCONCLUSIVE"
-    return NegativityCertificate(verdict=verdict, deg_s=deg_s, deg_gamma=deg_gamma)
+    return NegativityCertificate(deg_s, deg_gamma)

@@ -85,20 +85,24 @@ def plane_image_incidence(model: "ProjectionModel", c: DivisorClass) -> int:
 
 
 class ProjectionModel(Record):
-    """A surface together with the arithmetic of one generic projection."""
+    """A surface with the double point class of one generic projection.
 
-    def __init__(
-        self, surface: PolarizedSurface, deg_gamma: int, gamma_w: DivisorClass
-    ) -> None:
+    The double curve degree is derived: each double point has two preimages,
+    so deg_gamma = (G.H).Gamma_W / 2, and an odd pairing admits none.
+    """
+
+    def __init__(self, surface: PolarizedSurface, gamma_w: DivisorClass) -> None:
         if gamma_w.lattice != surface.lattice:
             raise LatticeMismatchError("double point class on the wrong lattice")
-        if sum(map(mul, surface.gh, gamma_w.coeffs)) != 2 * deg_gamma:
+        deg_gamma, odd = divmod(sum(map(mul, surface.gh, gamma_w.coeffs)), 2)
+        if odd:
             raise IncidenceContradictionError(
-                "double point class violates the degree constraint"
+                "double point class violates the degree constraint: "
+                "its pairing with H is odd"
             )
         set_field(self, "surface", surface)
-        set_field(self, "deg_gamma", deg_gamma)
         set_field(self, "gamma_w", gamma_w)
+        set_field(self, "deg_gamma", deg_gamma)
 
     @property
     def deg_s(self) -> int:
@@ -140,4 +144,4 @@ def project_to_p3(
         raise IncidenceContradictionError(
             "incidence system solves only with fractional coefficients"
         )
-    return ProjectionModel(surface, deg_gamma, lat(tuple(int(x) for x in xs)))
+    return ProjectionModel(surface, lat(tuple(int(x) for x in xs)))

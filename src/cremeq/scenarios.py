@@ -65,34 +65,32 @@ _NO_SEARCH_NOTE = (
 class _Rule(Record):
     def __init__(
         self,
-        key: str,  # the computed key that carries the verdict
         requires: dict,  # computed values the verdict needs, compared by _same
         verdict: str,  # the decisive verdict; INCONCLUSIVE when a requirement fails
         note: str = "",  # narrative line recorded when the rule decides
     ) -> None:
-        set_field(self, "key", key)
         set_field(self, "requires", requires)
         set_field(self, "verdict", verdict)
         set_field(self, "note", note)
 
 
+# kind -> the computed key that carries the verdict
+_VERDICT_KEYS = {"projection": "final_verdict", "family": "family_verdict"}
+
 # kind -> verdict rule
 _VERDICT_RULES = {
     "projection": {
-        "obstruction": _Rule("final_verdict", {"negativity": "NEGATIVE_CERTIFIED",
-                                               "obstruction_status": "INFEASIBLE"},
+        "obstruction": _Rule({"negativity": "NEGATIVE_CERTIFIED",
+                              "obstruction_status": "INFEASIBLE"},
                              "NOT_CREMONA_EQUIVALENT_TO_PLANE"),
-        "good_model": _Rule("final_verdict",
-                            {"nef": True, "fano": True, "threshold_positive": True},
+        "good_model": _Rule({"nef": True, "fano": True, "threshold_positive": True},
                             "CE_TO_PLANE_VIA_GOOD_MODEL"),
-        "fibration": _Rule("final_verdict",
-                           {"ray_kind": RayKind.FIBRATION.value, "fano": True},
+        "fibration": _Rule({"ray_kind": RayKind.FIBRATION.value, "fano": True},
                            "CE_TO_PLANE_VIA_FIBRATION"),
     },
     "family": {
-        "not_open": _Rule("family_verdict", {"monoid_ce": True}, "CE_TO_PLANE_NOT_OPEN"),
-        "not_closed": _Rule("family_verdict", {"dominant_possible": True},
-                            "CE_TO_PLANE_NOT_CLOSED",
+        "not_open": _Rule({"monoid_ce": True}, "CE_TO_PLANE_NOT_OPEN"),
+        "not_closed": _Rule({"dominant_possible": True}, "CE_TO_PLANE_NOT_CLOSED",
                             "assumption: generic finiteness of the parameterization "
                             "is recorded, not verified."),
     },
@@ -100,32 +98,47 @@ _VERDICT_RULES = {
 
 
 class Scenario(Record):
-    def __init__(self, name: str, kind: str, config: dict) -> None:
-        set_field(self, "name", name)
-        set_field(self, "kind", kind)
+    """A scenario config; its name and kind are read from it."""
+
+    def __init__(self, config: dict) -> None:
         set_field(self, "config", config)
+        set_field(self, "name", config["name"])
+        set_field(self, "kind", config["kind"])
 
 
 class ScenarioReport(Record):
+    """What a run computed against what its config expected.
+
+    The verdicts are derived: a key passes when it was computed and equals its
+    expected value in type and value, and the report passes when every key
+    passes and every stage ran.
+    """
+
     def __init__(
         self,
         name: str,
         kind: str,
         computed: dict,
         expected: dict,
-        verdicts: dict,
-        overall: str,
         narrative: tuple[str, ...],
         certificates: dict,
+        stages_ran: bool,
     ) -> None:
+        verdicts = {
+            key: "PASS" if key in computed and _same(computed[key], entry["value"])
+            else "FAIL"
+            for key, entry in expected.items()
+        }
+        passed = stages_ran and all(v == "PASS" for v in verdicts.values())
         set_field(self, "name", name)
         set_field(self, "kind", kind)
         set_field(self, "computed", computed)
         set_field(self, "expected", expected)
-        set_field(self, "verdicts", verdicts)
-        set_field(self, "overall", overall)
         set_field(self, "narrative", narrative)
         set_field(self, "certificates", certificates)
+        set_field(self, "stages_ran", stages_ran)
+        set_field(self, "verdicts", verdicts)
+        set_field(self, "overall", "PASS" if passed else "FAIL")
 
     def to_json_dict(self) -> dict:
         return {
@@ -409,7 +422,7 @@ def _parse_scenario(raw: str, origin: str) -> Scenario:
     if not isinstance(cfg, dict):
         raise ScenarioConfigError(f"{origin}: top level must be an object")
     _validate(cfg, origin)
-    return Scenario(name=cfg["name"], kind=cfg["kind"], config=cfg)
+    return Scenario(cfg)
 
 
 def builtin_scenario(name: str) -> Scenario:
@@ -675,24 +688,16 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     verdict = rule.verdict if decided else "INCONCLUSIVE"
     if decided and rule.note:
         run.narrative.append(rule.note)
-    run.computed[rule.key] = verdict
+    run.computed[_VERDICT_KEYS[scenario.kind]] = verdict
     run.narrative.append(f"verdict: {verdict}.")
 
-    expected = cfg["expected"]
-    verdicts = {
-        key: "PASS" if key in run.computed and _same(run.computed[key], entry["value"])
-        else "FAIL"
-        for key, entry in expected.items()
-    }
-    # a stage that raised or was skipped left no product, and fails the report
-    passed = len(run.products) == len(stages) and all(v == "PASS" for v in verdicts.values())
     return ScenarioReport(
         name=scenario.name,
         kind=scenario.kind,
         computed=run.computed,
-        expected=expected,
-        verdicts=verdicts,
-        overall="PASS" if passed else "FAIL",
+        expected=cfg["expected"],
         narrative=tuple(run.narrative),
         certificates=run.certificates,
+        # a stage that raised or was skipped left no product
+        stages_ran=len(run.products) == len(stages),
     )

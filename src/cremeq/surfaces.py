@@ -173,15 +173,16 @@ class SZModel(Record):
         from the quadric:  a + b = c,
         from the plane:    a = b = c,
 
-    for a class with coefficients (a, b, c).
+    for a class with coefficients (a, b, c).  The lattice is the blow-downs'
+    shared target, derived from them.
     """
 
-    def __init__(
-        self, lattice: IntersectionLattice, from_f0: BlowupMap, from_plane: BlowupMap
-    ) -> None:
-        set_field(self, "lattice", lattice)
+    def __init__(self, from_f0: BlowupMap, from_plane: BlowupMap) -> None:
+        if from_f0.target != from_plane.target:
+            raise LatticeMismatchError("the two pullbacks land on different lattices")
         set_field(self, "from_f0", from_f0)
         set_field(self, "from_plane", from_plane)
+        set_field(self, "lattice", from_f0.target)
 
     @property
     def f0(self) -> IntersectionLattice:
@@ -223,4 +224,4 @@ def make_sz() -> SZModel:
         matrix=((1,), (1,), (1,)),
         exceptional_classes=(lat((1, 0, 0)), lat((0, 1, 0))),
     )
-    return SZModel(lattice=lat, from_f0=from_f0, from_plane=from_plane)
+    return SZModel(from_f0=from_f0, from_plane=from_plane)

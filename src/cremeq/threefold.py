@@ -51,7 +51,16 @@ class RayKind(enum.Enum):
     UNCLASSIFIED = "UNCLASSIFIED"
 
 
+# what a verdict that rests on a declared contracting divisor takes on trust
+_DIVISOR_ASSUMPTION = (
+    "effectivity of the declared contracting divisor is assumed, not derived"
+)
+
+
 class RayVerdict(Record):
+    """A classified ray; assumption is derived, and set exactly when the
+    verdict rests on a declared contracting divisor."""
+
     def __init__(
         self,
         ray: DivisorClass,
@@ -59,13 +68,13 @@ class RayVerdict(Record):
         k_dot: int,
         kind: RayKind,
         contracting_divisor: tuple[int, int] | None = None,
-        assumption: str | None = None,
     ) -> None:
         set_field(self, "ray", ray)
         set_field(self, "s_dot", s_dot)
         set_field(self, "k_dot", k_dot)
         set_field(self, "kind", kind)
         set_field(self, "contracting_divisor", contracting_divisor)
+        assumption = None if contracting_divisor is None else _DIVISOR_ASSUMPTION
         set_field(self, "assumption", assumption)
 
     def to_json_dict(self) -> dict:
@@ -77,7 +86,6 @@ class RayVerdict(Record):
         }
         if self.contracting_divisor is not None:
             d["contracting_divisor"] = list(self.contracting_divisor)
-        if self.assumption is not None:
             d["assumption"] = self.assumption
         return d
 
@@ -152,10 +160,6 @@ def classify_second_ray(
                     k_dot=k,
                     kind=RayKind.BIRATIONAL_CONTRACTION_FANO,
                     contracting_divisor=contracting_divisor,
-                    assumption=(
-                        "effectivity of the declared contracting divisor is "
-                        "assumed, not derived"
-                    ),
                 )
             return RayVerdict(ray=ray, s_dot=s, k_dot=k, kind=RayKind.UNCLASSIFIED)
         if cone:

@@ -101,7 +101,7 @@ def test_certificate_survives_json_roundtrip(sextic_system):
     assert system == sextic_system
     replay_chain(system, chain)
     # rebuilding the certificate re-validates everything
-    FeasibilityCertificate(system=system, status="INFEASIBLE", chain=chain)
+    FeasibilityCertificate(system=system, chain=chain)
 
 
 def test_tampered_chain_is_rejected(sextic_system):
@@ -247,13 +247,15 @@ def test_system_validation():
 def test_certificate_validation_rejects_bad_witness(sextic_system):
     simple = S(("x",), ((1,), 2))
     with pytest.raises(ValueError, match="fails an equation"):
-        FeasibilityCertificate(system=simple, status="FEASIBLE", witness=(1,))
+        FeasibilityCertificate(system=simple, witness=(1,))
     with pytest.raises(ValueError, match="nonnegative"):
-        FeasibilityCertificate(system=simple, status="FEASIBLE", witness=(-2,))
+        FeasibilityCertificate(system=simple, witness=(-2,))
     with pytest.raises(ValueError, match="bound"):
-        FeasibilityCertificate(system=simple, status="UNKNOWN_UP_TO_BOUND")
-    with pytest.raises(ValueError, match="status"):
-        FeasibilityCertificate(system=simple, status="MAYBE")
+        FeasibilityCertificate(system=simple)
+    # a witness claims FEASIBLE and a chain INFEASIBLE: both at once is refused
+    chain = solve_nonneg(sextic_system).chain
+    with pytest.raises(ValueError, match="contradict"):
+        FeasibilityCertificate(sextic_system, witness=(0,) * 6, chain=chain)
 
 
 def test_feasible_certificate_refuses_non_integer_witness():
@@ -261,8 +263,8 @@ def test_feasible_certificate_refuses_non_integer_witness():
     half = S(("x",), ((2,), 1))
     for w in (0.5, "1", None):
         with pytest.raises(TypeError):
-            FeasibilityCertificate(system=half, status="FEASIBLE", witness=(w,))
-    ok = FeasibilityCertificate(system=S(("x",), ((2,), 2)), status="FEASIBLE", witness=(1,))
+            FeasibilityCertificate(system=half, witness=(w,))
+    ok = FeasibilityCertificate(system=S(("x",), ((2,), 2)), witness=(1,))
     assert ok.witness == (1,)
 
 

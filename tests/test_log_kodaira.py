@@ -2,14 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cremeq.log_kodaira import FIXED_MULTIPLICITY, negativity_certificate
+from cremeq.log_kodaira import negativity_certificate
+from cremeq.projection import DOUBLE_LOCUS_MULTIPLICITY
 
 
 def test_sextic_certified():
     cert = negativity_certificate(6, 10)
     assert cert.verdict == "NEGATIVE_CERTIFIED"
     assert cert.inequality == "6 < 10"
-    assert cert.multiplicity == FIXED_MULTIPLICITY == 2
+    assert cert.multiplicity == DOUBLE_LOCUS_MULTIPLICITY == 2
 
 
 def test_bordiga_and_dp6_certified():

@@ -107,21 +107,19 @@ def test_double_point_class_wrong_lattice(f0, dp6):
 
 def test_projection_model_validates_degree_pairing(f0):
     with pytest.raises(IncidenceContradictionError, match="degree"):
-        ProjectionModel(
-            surface=f0,
-            deg_gamma=10,
-            gamma_w=f0.lattice((4, 9)),  # pairs to 21, needs 20
-        )
+        # pairs to 21 with H: no double curve has degree 21 / 2
+        ProjectionModel(surface=f0, gamma_w=f0.lattice((4, 9)))
 
 
 def test_projection_model_degrees_come_from_the_surface(f0):
     gamma_w = f0.lattice((4, 8))
-    with pytest.raises(TypeError):
-        ProjectionModel(surface=f0, deg_s=3, deg_gamma=10, gamma_w=gamma_w)
+    for derived in ({"deg_s": 3}, {"deg_gamma": 10}):
+        with pytest.raises(TypeError):
+            ProjectionModel(surface=f0, gamma_w=gamma_w, **derived)
     with pytest.raises(TypeError):
         PolarizedSurface(lattice=f0.lattice, polarization=f0.polarization, name="x", gh=(1, 1))
-    model = ProjectionModel(surface=f0, deg_gamma=10, gamma_w=gamma_w)
-    assert (model.deg_s, f0.gh) == (6, (3, 1))
+    model = ProjectionModel(surface=f0, gamma_w=gamma_w)
+    assert (model.deg_s, model.deg_gamma, f0.gh) == (6, 10, (3, 1))
     with pytest.raises(AttributeError):
         model.deg_s = 2
 

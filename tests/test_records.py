@@ -3,9 +3,10 @@
 A record is a frozen value: built positionally or by keyword from the
 parameters of its constructor, compared and hashed by those fields alone,
 printed as `Name(field=value, ...)`, and never changed after construction.
-Values derived at construction (`PolarizedSurface.gh`,
-`BlowupThreefold.g_gamma_w`) take no part in equality, hashing or the repr;
-`BasisChange.inverse` is compared but not printed.
+Its fields are its inputs.  Values derived from them at construction (a
+verdict, a count, a target lattice, an inverse matrix) are no parameter, so
+they cannot be passed in to contradict the inputs, and they take no part in
+equality, hashing or the repr.
 """
 
 import copy
@@ -41,8 +42,8 @@ from cremeq.threefold import BlowupThreefold, RayKind, RayVerdict
 def _models():
     f0 = make_f0_sextic()
     # G.H = (3, 1): Gamma_W.H = 20 = 2 * 10 and 22 = 2 * 11
-    return (ProjectionModel(f0, 10, f0.lattice((4, 8))),
-            ProjectionModel(f0, 11, f0.lattice((4, 10))))
+    return (ProjectionModel(f0, f0.lattice((4, 8))),
+            ProjectionModel(f0, f0.lattice((4, 10))))
 
 
 def _systems():
@@ -52,7 +53,7 @@ def _systems():
 
 def _sz_swapped():
     sz = make_sz()
-    return SZModel(sz.lattice, sz.from_plane, sz.from_f0)
+    return SZModel(sz.from_plane, sz.from_f0)
 
 
 # class -> two unequal instances, made the way the library makes them
@@ -72,7 +73,7 @@ CASES = {
     RayVerdict: lambda: (
         RayVerdict(make_f0_sextic().lattice((0, 1)), 0, -2, RayKind.FIBRATION),
         RayVerdict(make_f0_sextic().lattice((0, 1)), 0, -2,
-                   RayKind.BIRATIONAL_CONTRACTION_FANO, (1, -1), "assumed"),
+                   RayKind.BIRATIONAL_CONTRACTION_FANO, (1, -1)),
     ),
     NegativityCertificate: lambda: (negativity_certificate(6, 10),
                                     negativity_certificate(6, 5)),
@@ -154,14 +155,54 @@ def test_equality_and_hash_follow_the_fields(cls):
 @pytest.mark.parametrize("cls, derived", [
     (PolarizedSurface, "gh"),
     (BlowupThreefold, "g_gamma_w"),
+    (NegativityCertificate, "verdict"),
+    (DimensionCount, "lhs"),
+    (DimensionCount, "rhs"),
+    (DimensionCount, "dominant_possible"),
+    (FeasibilityCertificate, "status"),
+    (RayVerdict, "assumption"),
+    (ProjectionModel, "deg_gamma"),
+    (SZModel, "lattice"),
+    (BasisChange, "new"),
+    (BasisChange, "inverse"),
+    (Scenario, "name"),
+    (Scenario, "kind"),
+    (ScenarioReport, "verdicts"),
+    (ScenarioReport, "overall"),
 ])
 def test_derived_rows_take_no_part_in_equality(cls, derived):
     a, _ = CASES[cls]()
     b = cls(**_kwargs(a))
-    object.__setattr__(b, derived, (0,) * len(getattr(a, derived)))
+    object.__setattr__(b, derived, object())
     assert getattr(a, derived) != getattr(b, derived)
-    assert a == b and hash(a) == hash(b)
-    assert derived not in repr(a) and derived not in _fields(cls)
+    assert a == b and repr(a) == repr(b)
+    if _hashable(a):
+        assert hash(a) == hash(b)
+    assert derived not in _fields(cls)
+
+
+def test_a_record_cannot_be_built_to_contradict_itself():
+    """Each call once built a record whose stored verdict, count, status,
+    lattice or name disagreed with the inputs beside it.  Those values are
+    derived now, so the calls are type errors, and the inputs alone give the
+    consistent record."""
+    sz = make_sz()
+    x = FeasibilitySystem(("x",), (LinearEquation((1,), 1),))
+    dp6 = builtin_scenario("dp6").config
+    for contradiction in (
+        lambda: NegativityCertificate("NEGATIVE_CERTIFIED", 10, 6),
+        lambda: DimensionCount((1, 3), (1, 2), 99, 0, True),
+        lambda: FeasibilityCertificate(x, "UNKNOWN_UP_TO_BOUND", witness=(1,), bound=0),
+        lambda: SZModel(sz.f0, sz.from_f0, sz.from_plane),
+        lambda: Scenario("renamed", "projection", dp6),
+    ):
+        with pytest.raises(TypeError):
+            contradiction()
+    assert NegativityCertificate(10, 6).inequality == "10 >= 6"
+    assert DimensionCount((1, 3), (1, 2)).to_json_dict()["lhs"] == 3
+    assert FeasibilityCertificate(x, witness=(1,), bound=0).status == "FEASIBLE"
+    assert SZModel(sz.from_f0, sz.from_plane).lattice.name == "SZ"
+    assert run_scenario(Scenario(dp6)).name == dp6["name"]
 
 
 @pytest.mark.parametrize("cls", CASES, ids=_IDS)
@@ -200,7 +241,10 @@ def test_repr_names_each_shown_field():
     )
     bc = change_basis(f0.lattice, [(1, 0), (1, 1)], ("u", "v"), name="F0b")
     assert repr(bc) == (
-        f"BasisChange(old={_F0}, new=IntersectionLattice(name='F0b', "
-        "basis=('u', 'v'), gram=((0, 1), (1, 2)), canonical_coeffs=(0, -2)), "
-        "matrix=((1, 1), (0, 1)))"
+        f"BasisChange(old={_F0}, matrix=((1, 1), (0, 1)), labels=('u', 'v'), "
+        "name='F0b')"
+    )
+    assert repr(bc.new) == (
+        "IntersectionLattice(name='F0b', basis=('u', 'v'), gram=((0, 1), (1, 2)), "
+        "canonical_coeffs=(0, -2))"
     )

@@ -49,7 +49,7 @@ def inline_f0(*path, value=_DROP):
 def perturbed_sextic(deg_gamma=11):
     cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
     cfg["deg_gamma"] = deg_gamma
-    return Scenario(name=cfg["name"], kind=cfg["kind"], config=cfg)
+    return Scenario(cfg)
 
 
 # --- configuration loading and validation ----------------------------------
@@ -230,7 +230,7 @@ def test_perturbed_double_curve_fails_exactly_where_expected():
 def test_broken_step_is_captured_not_raised():
     cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
     cfg["incidence_classes"] = ["cubic_ruling"]  # degree-3 image: not planar
-    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    report = run_scenario(Scenario(cfg))
     assert report.overall == "FAIL"
     assert report.computed["double_point_class"].startswith("ERROR: NotPlanarError")
     assert report.computed["final_verdict"] == "INCONCLUSIVE"
@@ -242,7 +242,7 @@ def test_bad_class_fails_the_surface_stage_by_field():
     cfg = json.loads(json.dumps(builtin_scenario("dp6").config))
     i = next(i for i, e in enumerate(cfg["classes"]) if e["label"] == "l23")
     cfg["classes"][i]["coeffs"].append(0)  # one coefficient too many
-    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    report = run_scenario(Scenario(cfg))
     assert report.overall == "FAIL"
     assert report.computed["degree"] == (
         f"ERROR: ScenarioConfigError: field 'classes[{i}].coeffs' of 'l23': "
@@ -275,7 +275,7 @@ def obstruction_rule_unpinned(cfg):
 def test_stage_error_fails_report_without_a_pinned_key(name, mutate, error):
     cfg = json.loads(json.dumps(builtin_scenario(name).config))
     mutate(cfg)
-    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    report = run_scenario(Scenario(cfg))
     # every pinned value still matches; the error sits in unpinned keys only
     assert all(v == "PASS" for v in report.verdicts.values())
     assert any(line.startswith("ERROR: ") and error in line for line in report.narrative)
@@ -299,7 +299,7 @@ def test_stale_obstruction_bound_is_ignored(tmp_path):
 def test_pins_compare_type_and_value(key, value):
     cfg = json.loads(json.dumps(builtin_scenario("dp6").config))
     cfg["expected"][key]["value"] = value
-    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    report = run_scenario(Scenario(cfg))
     assert report.computed[key] == value  # equal under ==, yet a different type
     assert {k for k, v in report.verdicts.items() if v == "FAIL"} == {key}
     assert report.overall == "FAIL"
@@ -330,7 +330,7 @@ def test_f0_restriction_system_is_decided_without_search(monkeypatch, polarizati
     monkeypatch.setattr("cremeq.feasibility._search_witness", no_search)
     cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
     inline_f0("polarization", value=list(polarization))(cfg)
-    report = run_scenario(Scenario(cfg["name"], cfg["kind"], cfg))
+    report = run_scenario(Scenario(cfg))
     assert report.computed["obstruction_status"] == "INFEASIBLE"
     replay_chain(*rebuild_chain(report.certificates["obstruction"]))
     if polarization == (1, 2):

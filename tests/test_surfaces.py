@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cremeq.lattice import LatticeMismatchError, genus, pair
+from cremeq.lattice import LatticeMismatchError, blow_up_point, genus, pair
 from cremeq.surfaces import (
     PolarizedSurface,
+    SZModel,
     dp6_line_classes,
     make_blowup_plane,
     make_sz,
@@ -114,6 +115,14 @@ def test_sz_exceptional_classes(sz):
 def test_sz_pullback_rejects_wrong_lattice(sz, f0):
     with pytest.raises(LatticeMismatchError):
         sz.from_plane.pullback(f0.polarization)
+
+
+def test_sz_lattice_is_the_shared_target(sz):
+    assert SZModel(sz.from_f0, sz.from_plane).lattice is sz.from_f0.target
+    # the plane blown up in one point is another lattice than SZ
+    _, one_point = blow_up_point(sz.plane)
+    with pytest.raises(LatticeMismatchError, match="different lattices"):
+        SZModel(sz.from_f0, one_point)
 
 
 @given(st.integers(-8, 8), st.integers(-8, 8))

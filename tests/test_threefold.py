@@ -153,11 +153,8 @@ def test_ray_numbers_are_pairings_on_dense_lattices(rank):
 
     # any even class meets the degree constraint with deg_gamma = half.H
     half = random_class()
-    model = ProjectionModel(
-        surface=surface,
-        deg_gamma=pair(half, surface.polarization),
-        gamma_w=2 * half,
-    )
+    model = ProjectionModel(surface=surface, gamma_w=2 * half)
+    assert model.deg_gamma == pair(half, surface.polarization)
     t = BlowupThreefold(model)
     for _ in range(4):
         c = random_class()
