@@ -4,6 +4,9 @@ A scenario is a JSON config naming a surface model, the curve classes to
 probe, and a verdict rule, together with an expected-value table in which
 every constant carries a provenance string (the one-line arithmetic that
 justifies it, so a reader can audit the number without the source tree).
+Loading checks the config against one table of field rules (_FIELDS), and a
+bad config raises ScenarioConfigError naming the field.  The family bounds
+are the library's, re-raised with the field's name; a new check is one entry.
 
 run_scenario runs the declared stages of the scenario's kind (_STAGES), decides
 the verdict by the config's rule (_VERDICT_RULES) and compares against the
@@ -194,215 +197,186 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _text(v, _=None) -> bool:
+    return isinstance(v, str) and v != ""
 
 
-def _int_list(v) -> bool:
-    return isinstance(v, list) and all(_is_int(x) for x in v)
+def _ints(v, _=None) -> bool:
+    return isinstance(v, list) and {*map(type, v)} <= {int}  # type(True) is bool
 
 
-def _int_fields(block, *names: str) -> bool:
-    return isinstance(block, dict) and all(_is_int(block.get(n)) for n in names)
+def _filled(kind):
+    return lambda v, _: isinstance(v, kind) and len(v) > 0
 
 
-def _validate(cfg: dict, origin: str) -> None:
-    def need(field: str, where: dict = cfg, ctx: str = ""):
-        if field not in where:
-            raise ScenarioConfigError(f"{origin}: missing field '{ctx}{field}'")
-        return where[field]
-
-    name = need("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioConfigError(f"{origin}: field 'name' must be a nonempty string")
-    kind = need("kind")
-    if kind not in ("projection", "family"):
-        raise ScenarioConfigError(
-            f"{origin}: field 'kind' must be 'projection' or 'family', got {kind!r}"
-        )
-    expected = need("expected")
-    if not isinstance(expected, dict) or not expected:
-        raise ScenarioConfigError(f"{origin}: field 'expected' must be a nonempty map")
-    for key, entry in expected.items():
-        if not isinstance(entry, dict) or "value" not in entry:
-            raise ScenarioConfigError(
-                f"{origin}: field 'expected.{key}' needs a 'value'"
-            )
-        if not isinstance(entry.get("provenance"), str) or not entry["provenance"]:
-            raise ScenarioConfigError(
-                f"{origin}: field 'expected.{key}.provenance' must be a "
-                "nonempty string"
-            )
-    rule = need("verdict_rule")
-    if not isinstance(rule, str) or rule not in _VERDICT_RULES[kind]:
-        raise ScenarioConfigError(
-            f"{origin}: field 'verdict_rule' must be one of "
-            f"{'/'.join(_VERDICT_RULES[kind])}, got {rule!r}"
-        )
-    if kind == "projection":
-        _validate_projection(cfg, origin, need)
-    else:
-        _validate_family(cfg, origin)
+def _ints_at(*keys):
+    return lambda v, _: isinstance(v, dict) and {*map(type, map(v.get, keys))} == {int}
 
 
-def _validate_projection(cfg: dict, origin: str, need) -> None:
-    def label(val, field: str) -> str:
-        if not isinstance(val, str) or not val:
-            raise ScenarioConfigError(
-                f"{origin}: field '{field}' must be a nonempty string label, got {val!r}"
-            )
-        return val
-
-    surface = need("surface")
-    if isinstance(surface, str):
-        if surface not in SURFACE_BUILDERS:
-            raise ScenarioConfigError(
-                f"{origin}: field 'surface' names no builder: {surface!r} "
-                f"(have {sorted(SURFACE_BUILDERS)})"
-            )
-    elif isinstance(surface, dict):
-        _validate_surface_model(surface, origin, need)
-    else:
-        raise ScenarioConfigError(
-            f"{origin}: field 'surface' must be a builder name or an inline model"
-        )
-    classes = need("classes")
-    if not isinstance(classes, list) or not classes:
-        raise ScenarioConfigError(f"{origin}: field 'classes' must be a nonempty list")
-    labels = set()
-    for i, entry in enumerate(classes):
-        if not isinstance(entry, dict) or "label" not in entry or "coeffs" not in entry:
-            raise ScenarioConfigError(
-                f"{origin}: field 'classes[{i}]' needs 'label' and 'coeffs'"
-            )
-        if not _int_list(entry["coeffs"]):
-            raise ScenarioConfigError(
-                f"{origin}: field 'classes[{i}].coeffs' must be a list of integers"
-            )
-        lab = label(entry["label"], f"classes[{i}].label")
-        if lab in labels:
-            raise ScenarioConfigError(
-                f"{origin}: field 'classes[{i}].label' repeats label {lab!r}"
-            )
-        labels.add(lab)
-    for field in ("incidence_classes", "curve_cone", "ray_probes", "fano_rays"):
-        vals = need(field)
-        if not isinstance(vals, list) or not vals:
-            raise ScenarioConfigError(
-                f"{origin}: field '{field}' must be a nonempty list of labels"
-            )
-        for k, lab in enumerate(vals):
-            if label(lab, f"{field}[{k}]") not in labels:
-                raise ScenarioConfigError(
-                    f"{origin}: field '{field}' references unknown label {lab!r}"
-                )
-    ray = label(need("second_ray"), "second_ray")
-    if ray not in labels:
-        raise ScenarioConfigError(
-            f"{origin}: field 'second_ray' references unknown label {ray!r}"
-        )
-    if "deg_gamma" in cfg and not (_is_int(cfg["deg_gamma"]) and cfg["deg_gamma"] >= 1):
-        raise ScenarioConfigError(
-            f"{origin}: field 'deg_gamma' must be a positive integer, "
-            f"got {cfg['deg_gamma']!r}"
-        )
-    if "contracting_divisor" in cfg:
-        cd = cfg["contracting_divisor"]
-        if not _int_fields(cd, "h", "e"):
-            raise ScenarioConfigError(
-                f"{origin}: field 'contracting_divisor' needs integer 'h' and 'e'"
-            )
+def _rank_vector(v, walk) -> bool:
+    return _ints(v) and len(v) == walk.rank
 
 
-def _validate_surface_model(model: dict, origin: str, need) -> None:
-    """The keys PolarizedSurface.from_json_dict reads, with integer entries."""
-    def check(ok: bool, field: str, what: str, got) -> None:
-        if not ok:
-            raise ScenarioConfigError(
-                f"{origin}: field 'surface.{field}' must be {what}, got {got!r}"
-            )
+class _Walk:
+    """One config under validation, and what its cross-field checks share."""
 
-    def nonempty_str(v) -> bool:
-        return isinstance(v, str) and bool(v)
+    def __init__(self, cfg) -> None:
+        self.cfg, self.labels = cfg, set()  # labels: those of 'classes', as they pass
 
-    name = need("name", model, "surface.")
-    check(nonempty_str(name), "name", "a nonempty string", name)
-    lat = need("lattice", model, "surface.")
-    check(isinstance(lat, dict), "lattice", "a map", lat)
-    lat_name = need("name", lat, "surface.lattice.")
-    check(nonempty_str(lat_name), "lattice.name", "a nonempty string", lat_name)
-    basis = need("basis", lat, "surface.lattice.")
-    check(
-        isinstance(basis, list) and bool(basis) and all(map(nonempty_str, basis)),
-        "lattice.basis", "a nonempty list of nonempty strings", basis,
-    )
-    n = len(basis)
-
-    def row(v) -> bool:
-        return _int_list(v) and len(v) == n
-
-    gram = need("gram", lat, "surface.lattice.")
-    check(
-        isinstance(gram, list) and len(gram) == n and all(map(row, gram)),
-        "lattice.gram", f"a {n}x{n} matrix of integers", gram,
-    )
-    check(
-        all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i)),
-        "lattice.gram", "symmetric", gram,
-    )
-    canonical = need("canonical", lat, "surface.lattice.")
-    check(row(canonical), "lattice.canonical", f"a list of {n} integers", canonical)
-    polarization = need("polarization", model, "surface.")
-    check(row(polarization), "polarization", f"a list of {n} integers", polarization)
+    rank = property(lambda self: len(self.cfg["surface"]["lattice"]["basis"]))
+    rules = property(lambda self: "/".join(_VERDICT_RULES[self.cfg["kind"]]))
 
 
-def _validate_family(cfg: dict, origin: str) -> None:
-    def grassmannian(g, field: str) -> None:
-        if not (_int_list(g) and len(g) == 2 and 0 <= g[0] < g[1]):
-            raise ScenarioConfigError(
-                f"{origin}: field '{field}' must be [k, n] with 0 <= k < n, got {g!r}"
-            )
+def _rows(when, *specs) -> tuple:
+    """(when, rows): the specs grouped by field, as (field, keys, required, each,
+    checks, element_checks).  A path is a field's dotted keys, then "[{}]" or
+    ".{}" for each element of a list or a map, then a key in that element."""
+    rows: dict = {}
+    for path, required, check, message in specs:
+        field, each, tail = path.partition("{}")
+        row = rows.setdefault(field.rstrip(".["), [required, None, [], []])
+        if each:
+            row[1] = list if field.endswith("[") else dict
+            row[3].append((path, tail.lstrip("].") or None, check, message))
+        else:
+            row[2].append((path, check, message))
+    return when, [(f, f.split(".") if f else (), *row) for f, row in rows.items()]
 
-    if "monoid" not in cfg and "dominance" not in cfg:
-        raise ScenarioConfigError(
-            f"{origin}: family scenario needs 'monoid' or 'dominance'"
-        )
-    if "monoid" in cfg:
-        m = cfg["monoid"]
-        if not _int_fields(m, "degree", "point_multiplicity"):
-            raise ScenarioConfigError(
-                f"{origin}: field 'monoid' needs integer 'degree' and "
-                "'point_multiplicity'"
-            )
-        if m["degree"] < 1:
-            raise ScenarioConfigError(
-                f"{origin}: field 'monoid.degree' must be at least 1, got {m['degree']}"
-            )
-        if not 0 <= m["point_multiplicity"] <= m["degree"]:
-            raise ScenarioConfigError(
-                f"{origin}: field 'monoid.point_multiplicity' must lie in "
-                f"[0, degree {m['degree']}], got {m['point_multiplicity']}"
-            )
-    if "grassmannian" in cfg:
-        grassmannian(cfg["grassmannian"], "grassmannian")
-    if "dominance" in cfg:
-        d = cfg["dominance"]
-        if not (
-            isinstance(d, dict)
-            and _int_list(d.get("param_space_dims"))
-            and _int_list(d.get("grassmannian"))
-            and len(d["grassmannian"]) == 2
-        ):
-            raise ScenarioConfigError(
-                f"{origin}: field 'dominance' needs 'param_space_dims' "
-                "(integers) and 'grassmannian' [k, n]"
-            )
-        if any(x < 0 for x in d["param_space_dims"]):
-            raise ScenarioConfigError(
-                f"{origin}: field 'dominance.param_space_dims' must be "
-                f"nonnegative, got {d['param_space_dims']!r}"
-            )
-        grassmannian(d["grassmannian"], "dominance.grassmannian")
+
+_KNOWN = (lambda v, walk: isinstance(v, str) and v in walk.labels,
+          "must be one of the labels in 'classes', got unknown label {v!r}")
+_VECTOR = "must be a list of {walk.rank} integers, got {v!r}"
+
+
+def _labels(path: str) -> tuple:
+    return ((path, True, _filled(list), "must be a nonempty list of labels"),
+            (path + "[{}]", True, *_KNOWN))
+
+
+def _kn(g, _) -> bool:
+    """[k, n] naming a Grassmannian; grassmannian_dim owns the bound 0 <= k < n."""
+    return _ints(g) and len(g) == 2 and (grassmannian_dim(*g) or True)
+
+
+# Field specs (path, required, check, message) in groups, each applying when
+# its condition on the config holds.  They are checked in order, so a check
+# or a condition may rely on the specs above it.  check(value, walk) says
+# whether the value is good.  Where the library owns a bound, a check calls it
+# ("... or True") and fails only by its ValueError, whose text the complaint
+# quotes.  message is formatted with v and walk.
+_FIELDS = (
+    _rows(
+        lambda cfg: True,
+        ("", True, lambda v, _: isinstance(v, dict), "must be an object"),
+        ("name", True, _text, "must be a nonempty string"),
+        # a str first: looking up an unhashable value would raise TypeError
+        ("kind", True, lambda v, _: isinstance(v, str) and v in _VERDICT_RULES,
+         "must be 'projection' or 'family', got {v!r}"),
+        ("expected", True, _filled(dict), "must be a nonempty map"),
+        ("expected.{}", True, lambda v, _: isinstance(v, dict) and "value" in v, "needs a 'value'"),
+        ("expected.{}.provenance", True, _text, "must be a nonempty string"),
+        ("verdict_rule", True,
+         lambda v, walk: isinstance(v, str) and v in _VERDICT_RULES[walk.cfg["kind"]],
+         "must be one of {walk.rules}, got {v!r}"),
+    ),
+    _rows(
+        lambda cfg: cfg["kind"] == "projection",
+        ("surface", True,
+         lambda v, _: isinstance(v, dict) or isinstance(v, str) and v in SURFACE_BUILDERS,
+         f"names no builder (have {sorted(SURFACE_BUILDERS)}) and is no inline model: {{v!r}}"),
+        ("classes", True, _filled(list), "must be a nonempty list"),
+        ("classes[{}]", True, lambda v, _: isinstance(v, dict) and "label" in v and "coeffs" in v,
+         "needs 'label' and 'coeffs'"),
+        ("classes[{}].coeffs", True, _ints, "must be a list of integers"),
+        ("classes[{}].label", True, _text, "must be a nonempty string label, got {v!r}"),
+        # a new label passes and is recorded (set.add returns None)
+        ("classes[{}].label", True,
+         lambda v, walk: v not in walk.labels and not walk.labels.add(v), "repeats label {v!r}"),
+        *_labels("incidence_classes"), *_labels("curve_cone"),
+        *_labels("ray_probes"), *_labels("fano_rays"),
+        ("second_ray", True, *_KNOWN),
+        ("deg_gamma", False, lambda v, _: type(v) is int and v >= 1,
+         "must be a positive integer, got {v!r}"),
+        ("contracting_divisor", False, _ints_at("h", "e"), "needs integer 'h' and 'e'"),
+    ),
+    _rows(
+        # an inline surface model: the keys PolarizedSurface.from_json_dict reads
+        lambda cfg: cfg["kind"] == "projection" and isinstance(cfg["surface"], dict),
+        ("surface.name", True, _text, "must be a nonempty string, got {v!r}"),
+        ("surface.lattice", True, lambda v, _: isinstance(v, dict), "must be a map, got {v!r}"),
+        ("surface.lattice.name", True, _text, "must be a nonempty string, got {v!r}"),
+        ("surface.lattice.basis", True, lambda v, _: isinstance(v, list) and v != []
+         and all(map(_text, v)),
+         "must be a nonempty list of nonempty strings, got {v!r}"),
+        ("surface.lattice.gram", True, lambda v, walk: isinstance(v, list)
+         and len(v) == walk.rank and all(_rank_vector(row, walk) for row in v),
+         "must be a {walk.rank}x{walk.rank} matrix of integers, got {v!r}"),
+        ("surface.lattice.gram", True,
+         lambda m, _: all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i)),
+         "must be symmetric, got {v!r}"),
+        ("surface.lattice.canonical", True, _rank_vector, _VECTOR),
+        ("surface.polarization", True, _rank_vector, _VECTOR),
+    ),
+    _rows(
+        lambda cfg: cfg["kind"] == "family",
+        ("", True, lambda cfg, _: "monoid" in cfg or "dominance" in cfg,
+         "needs 'monoid' or 'dominance'"),
+        ("monoid", False, _ints_at("degree", "point_multiplicity"),
+         "needs integer 'degree' and 'point_multiplicity'"),
+        # multiplicity 0 fits every degree that the library accepts
+        ("monoid.degree", True, lambda d, _: monoid_ce_predicate(d, 0) or True, "must be a degree"),
+        ("monoid.point_multiplicity", True,
+         lambda m, walk: monoid_ce_predicate(walk.cfg["monoid"]["degree"], m) or True,
+         "must be a point multiplicity"),
+        ("grassmannian", False, _kn, "must be [k, n] with integers k and n, got {v!r}"),
+        ("dominance", False, lambda v, _: isinstance(v, dict), "must be a map, got {v!r}"),
+        ("dominance.grassmannian", True, _kn, "must be [k, n] with integers k and n, got {v!r}"),
+        ("dominance.param_space_dims", True, lambda dims, walk: _ints(dims)
+         and (dominance_count(dims, *walk.cfg["dominance"]["grassmannian"]) or True),
+         "must be a list of dimensions, got {v!r}"),
+    ),
+)
+_MISSING = object()  # the last key of a path is absent
+_NOWHERE = object()  # the path runs below an absent key or a value of another shape
+
+
+def _problem(walk: _Walk) -> tuple | None:
+    """The first problem in _FIELDS order, as (path, pick, message, value, reason)
+    with message None for a missing field, or None for a good config."""
+    for when, rows in _FIELDS:
+        for field, keys, required, each, checks, element_checks in rows if when(walk.cfg) else ():
+            v = walk.cfg
+            for key in keys:
+                v = v.get(key, _MISSING) if isinstance(v, dict) else _NOWHERE
+            if v is _MISSING or v is _NOWHERE:  # the specs above judge what is there
+                if v is _MISSING and required:
+                    return field, None, None, v, ""
+                continue
+            for path, check, message in checks:
+                try:
+                    if not check(v, walk):
+                        return path, None, message, v, ""
+                except ValueError as exc:  # a bound the library owns
+                    return path, None, message, v, f": {exc}"
+            # the checks above have made v an each.  An element check passes on
+            # every element before the next one starts, so a map check comes
+            # before the tails looked up in the elements.
+            for path, tail, check, message in element_checks:
+                for pick, x in enumerate(v) if each is list else v.items():
+                    y = x if tail is None else x.get(tail, _MISSING)
+                    if y is _MISSING or not check(y, walk):
+                        return path, pick, None if y is _MISSING else message, y, ""
+
+
+def _validate(cfg, origin: str) -> None:
+    """Raise a ScenarioConfigError naming the first field that is wrong."""
+    walk = _Walk(cfg)
+    if problem := _problem(walk):
+        path, pick, message, v, reason = problem
+        where = f"field '{path.format(pick)}'" if path else "top level"
+        text = f"missing {where}" if message is None else (
+            f"{where} {message.format(v=v, walk=walk)}{reason}")
+        raise ScenarioConfigError(f"{origin}: {text}")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -417,10 +391,8 @@ def load_scenario(path: str | Path) -> Scenario:
 def _parse_scenario(raw: str, origin: str) -> Scenario:
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ScenarioConfigError(f"{origin}: not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ScenarioConfigError(f"{origin}: top level must be an object")
     _validate(cfg, origin)
     return Scenario(cfg)
 
@@ -578,8 +550,6 @@ def _obstruction(run: _Run) -> None:
     cert = decide_obstruction_system(system)
     run.computed["obstruction_status"] = cert.status
     final = cert.final_line_solved
-    if final is None and cert.chain:
-        final = cert.chain[-1].render(system.unknowns)
     run.computed["obstruction_final_line"] = final or ""
     run.certificates["obstruction"] = {**cert.to_json_dict(), "transcript": cert.transcript()}
     run.narrative.append(f"restriction system: {cert.status}.")

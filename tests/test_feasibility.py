@@ -372,6 +372,23 @@ def test_obstruction_closed_form_keeps_the_sign_analysis_chain(sextic_system):
     assert decide_obstruction_system(sextic_system) == solve_nonneg(sextic_system)
 
 
+def test_every_refutation_ends_in_a_solved_line():
+    # A closed-form refutation is a row of M^-1 A, which has an identity
+    # block, so its line has coefficient 1 on e, s1 or s2; on this range
+    # sign analysis's chains end in such a line as well.  The scenario
+    # runner reports that line and has no other rendering to fall back on.
+    statuses = Counter()
+    for r in itertools.product(range(-6, 7), repeat=3):
+        system = FeasibilitySystem(
+            OBSTRUCTION_UNKNOWNS, tuple(map(LinearEquation, feasibility._OBSTRUCTION_LHS, r))
+        )
+        cert = decide_obstruction_system(system)
+        statuses[cert.status] += 1
+        if cert.status == "INFEASIBLE":
+            assert cert.final_line_solved is not None, r
+    assert statuses == {"INFEASIBLE": 1434, "FEASIBLE": 2197 - 1434}
+
+
 def test_surface_free_systems_are_refuted(sz):
     # This pins a known limitation of the encoding, not a wanted result: the
     # e row of M^-1 r is h1 + h2 - h3 - 3 = -2 for every quadric-side input,

@@ -1,4 +1,10 @@
+import copy
+import functools
 import json
+import operator
+import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +17,7 @@ from cremeq.scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
     ScenarioConfigError,
+    _parse_scenario,
     builtin_scenario,
     load_scenario,
     run_scenario,
@@ -75,6 +82,14 @@ def test_load_scenario_invalid_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(ScenarioConfigError, match="not valid JSON"):
+        load_scenario(p)
+
+
+def test_load_scenario_nested_too_deeply(tmp_path):
+    # the JSON parser gives up with RecursionError, which must not escape
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    with pytest.raises(ScenarioConfigError, match="not valid JSON: maximum recursion depth"):
         load_scenario(p)
 
 
@@ -176,6 +191,65 @@ def test_family_config_validation(tmp_path, mutate, message):
     p = write_config(tmp_path, cfg)
     with pytest.raises(ScenarioConfigError, match=message):
         load_scenario(p)
+
+
+# Values that configs get wrong: wrong types, empty values, unhashable ones,
+# and integers on either side of a bound.
+_POOL = (None, True, 1.5, "", [], {}, [7, 3], [[0, 1], [1, 0]], {"h": 1}, ["nope"], 0, -1)
+
+
+def _nodes(cfg) -> list:
+    """Every (path, value) inside a JSON value, the value itself excepted."""
+    found, todo = [], [((), cfg)]
+    while todo:
+        path, node = todo.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+            node, list) else ()
+        for key, value in items:
+            todo.append(((*path, key), value))
+            found.append(todo[-1])
+    return found
+
+
+def _mutant(base: str, rng: random.Random) -> dict:
+    """The JSON config base with one or two edits: a key or element deleted, a
+    value replaced from _POOL, or a value from _POOL appended to a list."""
+    cfg = json.loads(base)
+    for _ in range(rng.randint(1, 2)):
+        nodes = _nodes(cfg)
+        op = rng.choice(("delete", "append", "replace"))
+        lists = [value for _, value in nodes if isinstance(value, list)]
+        if op == "append" and lists:
+            rng.choice(lists).append(copy.deepcopy(rng.choice(_POOL)))
+            continue
+        path, _ = rng.choice(nodes)
+        where = functools.reduce(operator.getitem, path[:-1], cfg)
+        if op == "delete":
+            del where[path[-1]]
+        else:
+            where[path[-1]] = copy.deepcopy(rng.choice(_POOL))
+    return cfg
+
+
+def test_config_mutants_load_or_name_a_field():
+    # a bad config fails with a ScenarioConfigError that names the field,
+    # never with another exception, whatever JSON types it holds; the text
+    # goes through the loader that load_scenario and builtin_scenario share
+    inline = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
+    inline_f0()(inline)
+    bases = [json.dumps(builtin_scenario(name).config) for name in BUILTIN_SCENARIOS]
+    bases.append(json.dumps(inline))
+    rng = random.Random(23)
+    named = re.compile("mutant: (missing field '|field '|top level )")
+    outcomes = Counter()
+    for _ in range(1500):
+        try:
+            _parse_scenario(json.dumps(_mutant(rng.choice(bases), rng)), "mutant")
+            outcomes["loaded"] += 1
+        except ScenarioConfigError as exc:
+            assert named.match(str(exc)), str(exc)
+            outcomes["refused"] += 1
+    assert outcomes == {"loaded": 262, "refused": 1238}
 
 
 # --- running ----------------------------------------------------------------

@@ -166,3 +166,39 @@ def test_ray_numbers_are_pairings_on_dense_lattices(rank):
     # the same surface in its standard basis is another lattice
     with pytest.raises(LatticeMismatchError):
         divisor_dot(t, (1, 0), standard.polarization)
+
+
+# The boundaries of classify_second_ray's sign patterns, each one step from a
+# branch it must not take.
+def test_zero_class_is_unclassified(t_sextic, t_dp6, f0, dp6):
+    # s = 0 and k = 0: neither a flop wall (needs s < 0) nor a contraction
+    # (needs k < 0), even where the fibration numerology holds
+    v = classify_second_ray(t_sextic, f0.lattice((0, 0)))
+    assert (v.s_dot, v.k_dot, v.kind) == (0, 0, RayKind.UNCLASSIFIED)
+    lines = list(dp6_line_classes(dp6.lattice))
+    v = classify_second_ray(t_dp6, dp6.lattice((0, 0, 0, 0)), cone=lines)
+    assert (v.s_dot, v.k_dot, v.kind) == (0, 0, RayKind.UNCLASSIFIED)
+
+
+def test_canonically_positive_ray_is_unclassified(t_sextic, f0):
+    # s = 0 and k = 4 > 0, with a divisor that is negative on the ray
+    ray = f0.lattice((-1, -1))
+    assert divisor_dot(t_sextic, (1, 0), ray) == -4
+    v = classify_second_ray(t_sextic, ray, contracting_divisor=(1, 0))
+    assert (v.s_dot, v.k_dot, v.kind) == (0, 4, RayKind.UNCLASSIFIED)
+
+
+def test_divisor_trivial_on_the_ray_is_unclassified(t_bordiga, bordiga):
+    # s = 0 and k < 0, but the declared divisor has degree 0 on the ray
+    m1 = bordiga.lattice((0, 1) + (0,) * 9)
+    assert divisor_dot(t_bordiga, (3, -1), m1) == 0
+    v = classify_second_ray(t_bordiga, m1, contracting_divisor=(3, -1))
+    assert v.kind is RayKind.UNCLASSIFIED
+
+
+def test_rays_with_both_numbers_nonzero_are_unclassified(t_sextic, f0):
+    # neither sign pattern applies, whatever divisor is declared
+    for coeffs, s, k in (((1, 0), 2, -4), ((1, 2), -2, -4), ((-1, 0), -2, 4)):
+        v = classify_second_ray(t_sextic, f0.lattice(coeffs), contracting_divisor=(-1, 0))
+        assert (v.s_dot, v.k_dot, v.kind) == (s, k, RayKind.UNCLASSIFIED)
+    assert divisor_dot(t_sextic, (-1, 0), f0.lattice((1, 0))) == -3
