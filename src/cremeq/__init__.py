@@ -74,6 +74,7 @@ from .threefold import (
     is_nef_on,
     kt_dot,
     st_dot,
+    steepest_ray,
 )
 
 __all__ = [
@@ -131,6 +132,7 @@ __all__ = [
     "run_scenario",
     "solve_nonneg",
     "st_dot",
+    "steepest_ray",
 ]
 
 __version__ = "0.1.0"

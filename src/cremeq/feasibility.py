@@ -105,24 +105,37 @@ class FeasibilitySystem(Record):
         )
 
 
+# (combination given, source given, variable given) -> the rule a line follows
+_RULE_KINDS = {(True, False, False): "combination", (False, True, True): "nonneg_zero"}
+
+
 class ChainLine(Record):
+    """One line of a chain, derived by exactly one rule: a nonempty
+    combination of earlier lines, or a variable forced to zero by a source
+    line.  kind is derived from which of the two is given."""
+
     def __init__(
         self,
         line_id: str,
         coeffs: tuple[int, ...],
         rhs: int,
-        kind: str,  # "combination" | "nonneg_zero"
         combination: tuple[tuple[str, int], ...] = (),
         source: str | None = None,
         variable: str | None = None,
     ) -> None:
+        kind = _RULE_KINDS.get((bool(combination), source is not None, variable is not None))
+        if kind is None:
+            raise ValueError(
+                f"{line_id}: give a nonempty combination, or a source and a "
+                "variable, but not both"
+            )
         set_field(self, "line_id", line_id)
         set_field(self, "coeffs", coeffs)
         set_field(self, "rhs", rhs)
-        set_field(self, "kind", kind)
         set_field(self, "combination", combination)
         set_field(self, "source", source)
         set_field(self, "variable", variable)
+        set_field(self, "kind", kind)
 
     def render(self, names: tuple[str, ...]) -> str:
         eq = LinearEquation(self.coeffs, self.rhs).render(names)
@@ -161,8 +174,6 @@ def replay_chain(system: FeasibilitySystem, chain: tuple[ChainLine, ...]) -> Non
         if line.line_id in by_id:
             raise ValueError(f"duplicate line id {line.line_id!r}")
         if line.kind == "combination":
-            if not line.combination:
-                raise ValueError(f"{line.line_id}: empty combination")
             acc = [0] * n
             rhs = 0
             for ref, mult in line.combination:
@@ -173,7 +184,7 @@ def replay_chain(system: FeasibilitySystem, chain: tuple[ChainLine, ...]) -> Non
                 rhs += mult * r
             if tuple(acc) != line.coeffs or rhs != line.rhs:
                 raise ValueError(f"{line.line_id}: combination does not reproduce line")
-        elif line.kind == "nonneg_zero":
+        else:
             if line.source not in by_id:
                 raise ValueError(f"{line.line_id}: unknown source {line.source!r}")
             sc, sr = by_id[line.source]
@@ -192,8 +203,6 @@ def replay_chain(system: FeasibilitySystem, chain: tuple[ChainLine, ...]) -> Non
             unit = tuple(int(i == v) for i in range(n))
             if line.coeffs != unit or line.rhs != 0:
                 raise ValueError(f"{line.line_id}: forced line must read x = 0")
-        else:
-            raise ValueError(f"{line.line_id}: unknown rule kind {line.kind!r}")
         by_id[line.line_id] = (line.coeffs, line.rhs)
     last = chain[-1]
     if any(v < 0 for v in last.coeffs) or last.rhs >= 0:
@@ -386,7 +395,7 @@ def _sign_analysis(system: FeasibilitySystem) -> tuple[ChainLine, ...] | None:
                 src = f"d{len(chain) - len(zeros) + 1}"
                 ordered = tuple(sorted(terms, key=lambda t: _ref_sort_key(t[0])))
                 chain.append(
-                    ChainLine(src, coeffs, rhs, "combination", combination=ordered)
+                    ChainLine(src, coeffs, rhs, combination=ordered)
                 )
             if rhs < 0:
                 return tuple(chain)
@@ -394,7 +403,7 @@ def _sign_analysis(system: FeasibilitySystem) -> tuple[ChainLine, ...] | None:
                 zeros[v] = z = f"z{len(zeros) + 1}"
                 unit = tuple(int(i == v) for i in range(n))
                 chain.append(
-                    ChainLine(z, unit, 0, "nonneg_zero", source=src, variable=names[v])
+                    ChainLine(z, unit, 0, source=src, variable=names[v])
                 )
             continue
         # [rows | I]: the identity block records each echelon row as an
@@ -531,7 +540,7 @@ def decide_obstruction_system(system: FeasibilitySystem) -> FeasibilityCertifica
             if v < 0:
                 coeffs = tuple(sum(map(mul, y, col)) for col in zip(*_OBSTRUCTION_LHS))
                 terms = tuple((f"eq{i}", c) for i, c in enumerate(y, 1) if c)
-                chain = (ChainLine("d1", coeffs, v, "combination", combination=terms),)
+                chain = (ChainLine("d1", coeffs, v, combination=terms),)
                 break
         else:
             return FeasibilityCertificate(system, witness=(*x, 0, 0, 0))

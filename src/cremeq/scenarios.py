@@ -44,6 +44,7 @@ from .threefold import (
     is_nef_on,
     kt_dot,
     st_dot,
+    steepest_ray,
 )
 
 
@@ -293,8 +294,8 @@ _FIELDS = (
         ("classes[{}].label", True,
          lambda v, walk: v not in walk.labels and not walk.labels.add(v), "repeats label {v!r}"),
         *_labels("incidence_classes"), *_labels("curve_cone"),
-        *_labels("ray_probes"), *_labels("fano_rays"),
-        ("second_ray", True, *_KNOWN),
+        *_labels("ray_probes"),
+        ("second_ray", False, *_KNOWN),
         ("deg_gamma", False, lambda v, _: type(v) is int and v >= 1,
          "must be a positive integer, got {v!r}"),
         ("contracting_divisor", False, _ints_at("h", "e"), "needs integer 'h' and 'e'"),
@@ -497,21 +498,28 @@ def _rays(run: _Run) -> None:
         narrative.append(
             f"ray numbers on {lab}: surface degree {s}, canonical degree {k}."
         )
-    cone = [table[lab] for lab in cfg["curve_cone"]]
+    labels = cfg["curve_cone"]
+    cone = [table[lab] for lab in labels]
     computed["nef"] = is_nef_on(t, cone)
+    # the second ray is the steepest generator; a declared one must tie with it
+    steepest = labels[cone.index(steepest_ray(t, cone))]
+    label = cfg.get("second_ray", steepest)
+    ray, first = table[label], table[steepest]
+    if steepest_ray(t, [ray, first]) is not ray or steepest_ray(t, [first, ray]) is not first:
+        raise ScenarioConfigError(
+            f"field 'second_ray' {label!r} does not tie with {steepest!r}, "
+            "the steepest generator of 'curve_cone'"
+        )
     cd = cfg.get("contracting_divisor")
     rv = classify_second_ray(
-        t,
-        table[cfg["second_ray"]],
-        cone=cone,
-        contracting_divisor=(cd["h"], cd["e"]) if cd else None,
+        t, ray, cone=cone, contracting_divisor=(cd["h"], cd["e"]) if cd else None
     )
     computed["ray_kind"] = rv.kind.value
     run.certificates["second_ray"] = rv.to_json_dict()
-    narrative.append(f"second ray {cfg['second_ray']}: classified {rv.kind.value}.")
+    narrative.append(f"second ray {label}: classified {rv.kind.value}.")
     if rv.assumption:
         narrative.append(f"assumption: {rv.assumption}")
-    computed["fano"] = fano_check(t, [table[lab] for lab in cfg["fano_rays"]])
+    computed["fano"] = fano_check(t, ray)
     computed["degree_squared"] = model.deg_s**2
     computed["four_times_double_curve_degree"] = 4 * model.deg_gamma
     if "threshold_positive" in _ray_keys(cfg):

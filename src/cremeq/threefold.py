@@ -13,9 +13,15 @@ functionals on curve classes:
 where Gamma_W is the double point class.  Both are dot products: with G the
 gram matrix of the surface lattice, C.H = C . (G H) and C.Gamma_W =
 C . (G Gamma_W).  The surface holds the row G H, and the threefold computes
-G Gamma_W once, at construction.  The second contraction of the two-ray game
-on T is classified by the signs of these numbers on the chosen extremal curve
-class.
+G Gamma_W once, at construction.
+
+T has Picard rank 2, so N_1(T) is a plane.  A curve C on S sits there at
+(C.H, C.Gamma_W), and a fibre of E over the blown-up curve at (0, -1).  The
+second extremal ray R of the two-ray game is taken to be spanned by a curve on
+S (an assumption, not derived), so it is the steepest curve-cone generator:
+the one with the largest C.Gamma_W / C.H.  The second contraction is
+classified by the signs of the two numbers on R, and -K_T is ample exactly
+when it is positive on R, since the E-fibre has -K_T degree 1 (Kleiman).
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ _DIVISOR_ASSUMPTION = (
 
 class RayVerdict(Record):
     """A classified ray; assumption is derived, and set exactly when the
-    verdict rests on a declared contracting divisor."""
+    verdict rests on a declared contracting divisor.  A birational contraction
+    needs that divisor and no other kind takes one."""
 
     def __init__(
         self,
@@ -69,6 +76,10 @@ class RayVerdict(Record):
         kind: RayKind,
         contracting_divisor: tuple[int, int] | None = None,
     ) -> None:
+        needs = kind is RayKind.BIRATIONAL_CONTRACTION_FANO
+        if needs != (contracting_divisor is not None):
+            taken = "needs a" if needs else "takes no"
+            raise ValueError(f"a {kind.value} verdict {taken} contracting divisor")
         set_field(self, "ray", ray)
         set_field(self, "s_dot", s_dot)
         set_field(self, "k_dot", k_dot)
@@ -97,10 +108,15 @@ def divisor_dot(t: BlowupThreefold, he: tuple[int, int], c: DivisorClass) -> int
     is a * c.(G H) + b * c.(G Gamma_W); a class on another lattice raises
     LatticeMismatchError.
     """
-    c._check_same(t.projection.surface.polarization)
     a, b = he
-    c_h, c_gamma_w = mat_vec((t.projection.surface.gh, t.g_gamma_w), c.coeffs)
+    c_h, c_gamma_w = _curve_point(t, c)
     return a * c_h + b * c_gamma_w
+
+
+def _curve_point(t: BlowupThreefold, c: DivisorClass) -> list[int]:
+    """(C.H, C.Gamma_W): where the curve class c sits in N_1(T)."""
+    c._check_same(t.projection.surface.polarization)
+    return mat_vec((t.projection.surface.gh, t.g_gamma_w), c.coeffs)
 
 
 def st_dot(t: BlowupThreefold, c: DivisorClass) -> int:
@@ -124,13 +140,36 @@ def is_nef_on(t: BlowupThreefold, generators: list[DivisorClass]) -> bool:
     return all(st_dot(t, c) >= 0 for c in generators)
 
 
+def steepest_ray(t: BlowupThreefold, cone: list[DivisorClass]) -> DivisorClass:
+    """The cone generator of largest slope C.Gamma_W / C.H, the first in list
+    order among ties: the second ray R, assumed spanned by a curve on S.
+
+    Slopes are compared by cross-multiplying, in integers.  A generator with
+    C.H <= 0 has no slope and is refused, as is an empty cone.
+    """
+    if not cone:
+        raise ValueError("the second ray needs a nonempty list of cone generators")
+    best, best_h, best_g = None, 1, 0
+    for c in cone:
+        h, g = _curve_point(t, c)
+        if h <= 0:
+            raise ValueError(
+                f"cone generator {list(c.coeffs)} has C.H = {h} <= 0, so no slope"
+            )
+        if best is None or g * best_h > best_g * h:
+            best, best_h, best_g = c, h, g
+    return best
+
+
 def classify_second_ray(
     t: BlowupThreefold,
     ray: DivisorClass,
     cone: list[DivisorClass] | None = None,
     contracting_divisor: tuple[int, int] | None = None,
 ) -> RayVerdict:
-    """Classify the contraction of the second extremal ray.
+    """Classify the contraction of the second extremal ray, spanned by the
+    curve class ray (steepest_ray finds it on a cone; that R is spanned by a
+    curve on S is assumed).
 
     Sign patterns (s = st_dot, k = kt_dot on the ray):
 
@@ -169,12 +208,12 @@ def classify_second_ray(
     return RayVerdict(ray=ray, s_dot=s, k_dot=k, kind=RayKind.UNCLASSIFIED)
 
 
-def fano_check(t: BlowupThreefold, rays: list[DivisorClass]) -> bool:
-    """Whether -K_T is positive on every supplied extremal curve class.
+def fano_check(t: BlowupThreefold, ray: DivisorClass) -> bool:
+    """Whether -K_T is ample: positive on the second ray, spanned by the curve
+    class ray (assumed to be a curve on S; steepest_ray finds it).
 
-    The fibers of the exceptional divisor over the blown-up curve always have
-    -K_T degree 1 > 0, so that ray is built in; the caller supplies the rest.
+    T has Picard rank 2, so by Kleiman -K_T is ample exactly when it is
+    positive on both extremal rays.  The fibres of the exceptional divisor over
+    the blown-up curve span the other ray and always have -K_T degree 1 > 0.
     """
-    if not rays:
-        raise ValueError("fano check needs the non-fiber extremal rays")
-    return all(-kt_dot(t, c) > 0 for c in rays)
+    return -kt_dot(t, ray) > 0

@@ -97,7 +97,6 @@ def rebuild_chain(d: dict) -> tuple[FeasibilitySystem, tuple[ChainLine, ...]]:
             line_id=e["id"],
             coeffs=tuple(e["coeffs"]),
             rhs=e["rhs"],
-            kind=e["kind"],
             combination=tuple((r, m) for r, m in e.get("combination", [])),
             source=e.get("source"),
             variable=e.get("variable"),

@@ -52,6 +52,7 @@ from cremeq.threefold import (
     is_nef_on,
     kt_dot,
     st_dot,
+    steepest_ray,
 )
 
 SEED = 20260816
@@ -132,7 +133,7 @@ def test_acceptance_2_bordiga(capfd):
     check("surface degree 2 on conic", st_dot(t, c) == 2)
     check("canonical degree -3 on conic", kt_dot(t, c) == -3)
     check("nef", is_nef_on(t, ms + [c]))
-    check("fano", fano_check(t, ms + [c]))
+    check("fano", fano_check(t, steepest_ray(t, ms + [c])))
     report = run_scenario(builtin_scenario("bordiga"))
     check(
         "verdict CE_TO_PLANE_VIA_GOOD_MODEL",

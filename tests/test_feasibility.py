@@ -91,7 +91,6 @@ def test_certificate_survives_json_roundtrip(sextic_system):
             line_id=e["id"],
             coeffs=tuple(e["coeffs"]),
             rhs=e["rhs"],
-            kind=e["kind"],
             combination=tuple((r, m) for r, m in e.get("combination", [])),
             source=e.get("source"),
             variable=e.get("variable"),
@@ -110,7 +109,6 @@ def test_tampered_chain_is_rejected(sextic_system):
         line_id="d2",
         coeffs=cert.chain[-1].coeffs,
         rhs=-3,  # doctored constant
-        kind="combination",
         combination=cert.chain[-1].combination,
     )
     with pytest.raises(ValueError, match="does not reproduce"):
@@ -125,53 +123,53 @@ def test_replay_rejects_empty_chain():
 
 def test_replay_rejects_duplicate_ids():
     sys1 = S(("x",), ((1,), -1))
-    line = ChainLine("eq1", (1,), -1, "combination", (("eq1", 1),))
+    line = ChainLine("eq1", (1,), -1, combination=(("eq1", 1),))
     with pytest.raises(ValueError, match="duplicate"):
         replay_chain(sys1, (line,))
 
 
 def test_replay_rejects_unknown_reference():
     sys1 = S(("x",), ((1,), -1))
-    line = ChainLine("d1", (1,), -1, "combination", (("eq9", 1),))
+    line = ChainLine("d1", (1,), -1, combination=(("eq9", 1),))
     with pytest.raises(ValueError, match="unknown reference"):
         replay_chain(sys1, (line,))
 
 
 def test_replay_rejects_indecisive_final_line():
     sys1 = S(("x", "y"), ((1, 1), 0))
-    line = ChainLine("d1", (1, 1), 0, "combination", (("eq1", 1),))
+    line = ChainLine("d1", (1, 1), 0, combination=(("eq1", 1),))
     with pytest.raises(ValueError, match="negative integer"):
         replay_chain(sys1, (line,))
     sys2 = S(("x", "y"), ((1, -1), -1))
-    mixed = ChainLine("d1", (1, -1), -1, "combination", (("eq1", 1),))
+    mixed = ChainLine("d1", (1, -1), -1, combination=(("eq1", 1),))
     with pytest.raises(ValueError, match="negative integer"):
         replay_chain(sys2, (mixed,))
 
 
 def test_replay_nonneg_zero_rules():
     sys1 = S(("x", "y"), ((1, 1), 0), ((1, 0), -1))
-    z_ok = ChainLine("z1", (1, 0), 0, "nonneg_zero", source="eq1", variable="x")
-    final = ChainLine("d1", (0, 0), -1, "combination", (("eq2", 1), ("z1", -1)))
+    z_ok = ChainLine("z1", (1, 0), 0, source="eq1", variable="x")
+    final = ChainLine("d1", (0, 0), -1, combination=(("eq2", 1), ("z1", -1)))
     replay_chain(sys1, (z_ok, final))
 
-    z_bad_src = ChainLine("z1", (1, 0), 0, "nonneg_zero", source="eq2", variable="x")
+    z_bad_src = ChainLine("z1", (1, 0), 0, source="eq2", variable="x")
     with pytest.raises(ValueError, match="nonnegative combination"):
         replay_chain(sys1, (z_bad_src, final))
 
-    z_bad_var = ChainLine("z1", (1, 0), 0, "nonneg_zero", source="eq1", variable="q")
+    z_bad_var = ChainLine("z1", (1, 0), 0, source="eq1", variable="q")
     with pytest.raises(ValueError, match="unknown variable"):
         replay_chain(sys1, (z_bad_var, final))
 
-    z_not_unit = ChainLine("z1", (1, 1), 0, "nonneg_zero", source="eq1", variable="x")
+    z_not_unit = ChainLine("z1", (1, 1), 0, source="eq1", variable="x")
     with pytest.raises(ValueError, match="x = 0"):
         replay_chain(sys1, (z_not_unit, final))
 
     z_missing = ChainLine(
-        "z1", (1, 0), 0, "nonneg_zero", source="eq3", variable="x"
+        "z1", (1, 0), 0, source="eq3", variable="x"
     )
     sys_zero_coeff = S(("x", "y"), ((1, 1), 0), ((1, 0), -1), ((0, 1), 0))
     z_absent = ChainLine(
-        "z1", (1, 0), 0, "nonneg_zero", source="eq3", variable="x"
+        "z1", (1, 0), 0, source="eq3", variable="x"
     )
     with pytest.raises(ValueError, match="absent"):
         replay_chain(sys_zero_coeff, (z_absent, final))
@@ -179,11 +177,20 @@ def test_replay_nonneg_zero_rules():
         replay_chain(sys1, (z_missing, final))
 
 
-def test_replay_rejects_unknown_kind():
-    sys1 = S(("x",), ((1,), -1))
-    line = ChainLine("d1", (1,), -1, "magic")
-    with pytest.raises(ValueError, match="unknown rule kind"):
-        replay_chain(sys1, (line,))
+def test_chain_line_follows_exactly_one_rule():
+    # the rule kind is derived from which justification is given
+    assert ChainLine("d1", (1,), -1, combination=(("eq1", 1),)).kind == "combination"
+    assert ChainLine("z1", (1,), 0, source="eq1", variable="x").kind == "nonneg_zero"
+    for refused in (
+        dict(),  # neither
+        dict(combination=()),  # an empty combination justifies nothing
+        dict(source="eq1"),  # a source without the variable it forces
+        dict(variable="x"),
+        dict(combination=(("eq1", 1),), source="eq1", variable="x"),  # both
+        dict(combination=(("eq1", 1),), source="eq1"),
+    ):
+        with pytest.raises(ValueError, match="d1: give a nonempty combination"):
+            ChainLine("d1", (1,), -1, **refused)
 
 
 def test_feasible_returns_smallest_witness():

@@ -80,8 +80,8 @@ CASES = {
     LinearEquation: lambda: (LinearEquation((1, -2), 3), LinearEquation((1, -2), 4)),
     FeasibilitySystem: _systems,
     ChainLine: lambda: (
-        ChainLine("d1", (1, 1), -1, "combination", combination=(("eq1", 1),)),
-        ChainLine("z1", (1, 0), 0, "nonneg_zero", source="eq1", variable="x"),
+        ChainLine("d1", (1, 1), -1, combination=(("eq1", 1),)),
+        ChainLine("z1", (1, 0), 0, source="eq1", variable="x"),
     ),
     FeasibilityCertificate: lambda: tuple(map(solve_nonneg, _systems())),
     DimensionCount: lambda: (dominance_count([1, 2], 1, 3), dominance_count([5], 1, 3)),
@@ -161,6 +161,7 @@ def test_equality_and_hash_follow_the_fields(cls):
     (DimensionCount, "dominant_possible"),
     (FeasibilityCertificate, "status"),
     (RayVerdict, "assumption"),
+    (ChainLine, "kind"),
     (ProjectionModel, "deg_gamma"),
     (SZModel, "lattice"),
     (BasisChange, "new"),
@@ -203,6 +204,17 @@ def test_a_record_cannot_be_built_to_contradict_itself():
     assert FeasibilityCertificate(x, witness=(1,), bound=0).status == "FEASIBLE"
     assert SZModel(sz.from_f0, sz.from_plane).lattice.name == "SZ"
     assert run_scenario(Scenario(dp6)).name == dp6["name"]
+
+
+def test_a_contracting_divisor_goes_with_a_birational_contraction_only():
+    """A verdict of another kind once carried a divisor and its effectivity
+    assumption, and a birational contraction could come without one."""
+    ray = make_f0_sextic().lattice((0, 1))
+    for kind in set(RayKind) - {RayKind.BIRATIONAL_CONTRACTION_FANO}:
+        with pytest.raises(ValueError, match=f"a {kind.value} verdict takes no contracting"):
+            RayVerdict(ray, 0, -2, kind, (1, -1))
+    with pytest.raises(ValueError, match="BIRATIONAL_CONTRACTION_FANO verdict needs a"):
+        RayVerdict(ray, 0, -2, RayKind.BIRATIONAL_CONTRACTION_FANO)
 
 
 @pytest.mark.parametrize("cls", CASES, ids=_IDS)

@@ -231,6 +231,13 @@ def _mutant(base: str, rng: random.Random) -> dict:
     return cfg
 
 
+def test_smallest_double_curve_degree_loads():
+    # deg_gamma is bounded below by 1, and 1 itself loads
+    cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
+    cfg["deg_gamma"] = 1
+    assert _parse_scenario(json.dumps(cfg), "deg_gamma-1").config["deg_gamma"] == 1
+
+
 def test_config_mutants_load_or_name_a_field():
     # a bad config fails with a ScenarioConfigError that names the field,
     # never with another exception, whatever JSON types it holds; the text
@@ -249,7 +256,8 @@ def test_config_mutants_load_or_name_a_field():
         except ScenarioConfigError as exc:
             assert named.match(str(exc)), str(exc)
             outcomes["refused"] += 1
-    assert outcomes == {"loaded": 262, "refused": 1238}
+    # the counts follow from the bases: the built-in configs as shipped
+    assert outcomes == {"loaded": 268, "refused": 1232}
 
 
 # --- running ----------------------------------------------------------------
@@ -327,6 +335,50 @@ def test_bad_class_fails_the_surface_stage_by_field():
     for key in ("nef", "negativity"):
         assert report.computed[key] == "ERROR: RuntimeError: projection model unavailable"
     assert report.computed["final_verdict"] == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize(
+    "name, declared, cone, steepest",
+    [
+        ("sextic-ruled", "cubic_ruling", None, "line_ruling"),
+        ("bordiga", "c", None, "m1"),
+        # a declared ray steeper than every generator does not tie either
+        ("sextic-ruled", "line_ruling", ["cubic_ruling"], "cubic_ruling"),
+    ],
+    ids=["sextic-out-sloped", "bordiga-out-sloped", "sextic-outside-the-cone"],
+)
+def test_second_ray_that_does_not_tie_fails_the_rays_stage_by_field(
+    name, declared, cone, steepest
+):
+    cfg = json.loads(json.dumps(builtin_scenario(name).config))
+    cfg["second_ray"] = declared
+    if cone:
+        cfg["curve_cone"] = cone
+    report = run_scenario(Scenario(cfg))
+    assert report.overall == "FAIL"
+    assert report.computed["ray_kind"] == (
+        f"ERROR: ScenarioConfigError: field 'second_ray' {declared!r} does not tie "
+        f"with {steepest!r}, the steepest generator of 'curve_cone'"
+    )
+    assert "second_ray" not in report.certificates
+
+
+def test_second_ray_is_derived_or_a_tied_choice():
+    # dp6's six lines tie: any of them may be declared, and the first in
+    # curve_cone order is derived when none is; the numbers are the same
+    base = run_scenario(builtin_scenario("dp6"))
+    for declared in ("e1", "l23", None):
+        cfg = json.loads(json.dumps(builtin_scenario("dp6").config))
+        cfg.pop("second_ray")
+        if declared:
+            cfg["second_ray"] = declared
+        report = run_scenario(Scenario(cfg))
+        assert report.overall == "PASS" and report.computed == base.computed
+        label = declared or "e1"
+        assert f"second ray {label}: classified FIBRATION." in report.narrative
+        assert report.certificates["second_ray"]["ray"] == next(
+            e["coeffs"] for e in cfg["classes"] if e["label"] == label
+        )
 
 
 def obstruction_rule_unpinned(cfg):
@@ -418,7 +470,7 @@ def test_f0_restriction_system_is_decided_without_search(monkeypatch, polarizati
 
 
 def test_verdict_rule_needs_true_not_one(monkeypatch):
-    monkeypatch.setattr("cremeq.scenarios.fano_check", lambda t, rays: 1)
+    monkeypatch.setattr("cremeq.scenarios.fano_check", lambda t, ray: 1)
     report = run_scenario(builtin_scenario("dp6"))
     assert report.computed["fano"] == 1
     assert report.computed["final_verdict"] == "INCONCLUSIVE"
@@ -498,6 +550,15 @@ def test_cli_run_failing_config_exits_1(tmp_path, capsys):
     assert main(["run", str(p)]) == 1
     out = capsys.readouterr().out
     assert "overall: **FAIL**" in out
+
+
+def test_cli_run_out_sloped_second_ray_exits_1_naming_the_field(tmp_path, capsys):
+    cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
+    cfg["second_ray"] = "cubic_ruling"
+    p = write_config(tmp_path, cfg)
+    assert main(["run", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "overall: **FAIL**" in out and "field 'second_ray'" in out
 
 
 def test_cli_run_unknown_target_exits_2(capsys):

@@ -15,6 +15,7 @@ from cremeq.threefold import (
     is_nef_on,
     kt_dot,
     st_dot,
+    steepest_ray,
 )
 
 
@@ -56,7 +57,9 @@ def test_sextic_flop_wall(t_sextic, f0):
 def test_sextic_not_nef_not_fano(t_sextic, f0):
     rays = [f0.lattice((1, 0)), f0.lattice((0, 1))]
     assert not is_nef_on(t_sextic, rays)
-    assert not fano_check(t_sextic, rays)
+    # the line ruling, at (1, 4), is steeper than the cubic ruling at (3, 8)
+    assert steepest_ray(t_sextic, rays) is rays[1]
+    assert not fano_check(t_sextic, rays[1])
 
 
 def test_bordiga_ray_numbers(t_bordiga, bordiga):
@@ -102,16 +105,22 @@ def test_bordiga_nef_and_fano(t_bordiga, bordiga):
     ms = [lat(tuple(1 if j == i else 0 for j in range(11))) for i in range(1, 11)]
     c = lat((1, -1, -1) + (0,) * 8)
     assert is_nef_on(t_bordiga, ms + [c])
-    assert fano_check(t_bordiga, ms + [c])
+    # the exceptionals, at (1, 3), tie and are steeper than the conic at (2, 5)
+    assert steepest_ray(t_bordiga, [c] + ms) is ms[0]
+    assert fano_check(t_bordiga, ms[0])
 
 
 def test_dp6_fibration(t_dp6, dp6):
+    # the six lines all sit at (1, 3): they tie as the steepest, and each
+    # classifies as the same ray
     lines = list(dp6_line_classes(dp6.lattice))
-    v = classify_second_ray(t_dp6, lines[3], cone=lines)
-    assert v.kind is RayKind.FIBRATION
-    assert (v.s_dot, v.k_dot) == (0, -1)
+    assert steepest_ray(t_dp6, lines) is lines[0]
+    assert steepest_ray(t_dp6, lines[::-1]) is lines[-1]
+    for line in lines:
+        v = classify_second_ray(t_dp6, line, cone=lines)
+        assert (v.s_dot, v.k_dot, v.kind) == (0, -1, RayKind.FIBRATION)
+        assert fano_check(t_dp6, line)
     assert t_dp6.projection.deg_s ** 2 == 4 * t_dp6.projection.deg_gamma
-    assert fano_check(t_dp6, lines)
 
 
 def test_dp6_fibration_needs_cone(t_dp6, dp6):
@@ -123,8 +132,28 @@ def test_dp6_fibration_needs_cone(t_dp6, dp6):
 def test_empty_lists_refused(t_sextic):
     with pytest.raises(ValueError, match="nonempty"):
         is_nef_on(t_sextic, [])
-    with pytest.raises(ValueError, match="extremal"):
-        fano_check(t_sextic, [])
+    with pytest.raises(ValueError, match="nonempty"):
+        steepest_ray(t_sextic, [])
+
+
+def test_generator_without_slope_refused(t_sextic, f0):
+    # C.H <= 0: the zero class and a class of negative degree have no slope
+    for coeffs, h in (((0, 0), 0), ((1, -4), -1)):
+        with pytest.raises(ValueError, match=rf"\[{coeffs[0]}, {coeffs[1]}\] has C.H = {h}"):
+            steepest_ray(t_sextic, [f0.lattice((0, 1)), f0.lattice(coeffs)])
+
+
+def test_steepest_ray_compares_slopes_exactly(t_sextic, f0):
+    # (5, 16) has slope 16/5 and (6, 20) slope 10/3; (12, 40) ties with
+    # (6, 20), and the first listed of tied generators wins
+    mid, steep, tied = (f0.lattice(c) for c in ((1, 2), (1, 3), (2, 6)))
+    points = [[divisor_dot(t_sextic, he, c) for he in ((1, 0), (0, 1))]
+              for c in (mid, steep, tied)]
+    assert points == [[5, 16], [6, 20], [12, 40]]
+    assert steepest_ray(t_sextic, [mid, steep]) is steep
+    assert steepest_ray(t_sextic, [steep, mid]) is steep
+    assert steepest_ray(t_sextic, [tied, steep, mid]) is tied
+    assert steepest_ray(t_sextic, [mid, steep, tied]) is steep
 
 
 def test_wrong_lattice_refused(t_sextic, dp6):
@@ -202,3 +231,12 @@ def test_rays_with_both_numbers_nonzero_are_unclassified(t_sextic, f0):
         v = classify_second_ray(t_sextic, f0.lattice(coeffs), contracting_divisor=(-1, 0))
         assert (v.s_dot, v.k_dot, v.kind) == (s, k, RayKind.UNCLASSIFIED)
     assert divisor_dot(t_sextic, (-1, 0), f0.lattice((1, 0))) == -3
+
+
+def test_flop_wall_at_surface_degree_minus_one():
+    # a degree-7 surface makes s odd: E1 has s = 7 - 2*4 = -1 and k = -4 + 4 = 0
+    s7 = make_blowup_plane(2, (3, -1, -1))
+    t = BlowupThreefold(ProjectionModel(s7, s7.lattice((0, -4, -6))))
+    v = classify_second_ray(t, s7.lattice((0, 1, 0)))
+    assert (v.s_dot, v.k_dot, v.kind) == (-1, 0, RayKind.FLOP_WALL_CANONICAL_FANO)
+
