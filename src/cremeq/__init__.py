@@ -19,7 +19,6 @@ from .feasibility import (
     FeasibilityCertificate,
     FeasibilitySystem,
     LinearEquation,
-    PullbackPredicateError,
     build_obstruction_system,
     replay_chain,
     solve_nonneg,
@@ -96,7 +95,6 @@ __all__ = [
     "NotPlanarError",
     "PolarizedSurface",
     "ProjectionModel",
-    "PullbackPredicateError",
     "RayKind",
     "RayVerdict",
     "SZModel",

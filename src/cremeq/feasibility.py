@@ -28,26 +28,24 @@ store.  That is enough for the rank-3 systems in six unknowns this package
 cares about, and for plenty more.
 
 build_obstruction_system encodes the restriction bookkeeping that obstructs
-moving a sextic ruled surface to a plane: on the two-blowdown lattice the
-hyperplane pullbacks from the surface side and from the plane side decompose
-against the same restriction class, and eliminating it leaves three equations
-in six nonnegative multiplicities.
+moving a sextic ruled surface to a plane: on the two-blowdown lattice of
+make_sz() the hyperplane pullbacks from the surface side and from the plane
+side decompose against the same restriction class, and eliminating it leaves
+three equations in six nonnegative multiplicities.  The left side is read off
+the two blow-downs once, at import; the builder takes only the projection
+model of the quadric.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import index, mul
+from operator import index
 
 from ._record import Record, set_field
-from .lattice import DivisorClass, LatticeMismatchError
-from .linalg import eliminate
-from .projection import DOUBLE_LOCUS_MULTIPLICITY
-from .surfaces import SZModel
-
-
-class PullbackPredicateError(ValueError):
-    """An obstruction input fails its declared pullback predicate."""
+from .lattice import LatticeMismatchError
+from .linalg import eliminate, invert_unimodular, mat_mul, mat_vec
+from .projection import DOUBLE_LOCUS_MULTIPLICITY, ProjectionModel
+from .surfaces import make_sz
 
 
 def _render_terms(pairs: list[tuple[str, int]]) -> str:
@@ -457,73 +455,75 @@ def solve_nonneg(system: FeasibilitySystem, bound: int = 20) -> FeasibilityCerti
 
 
 OBSTRUCTION_UNKNOWNS = ("e", "s1", "s2", "a", "b1", "b2")
-_OBSTRUCTION_LHS = ((1, -1, 0, 0, 1, 0), (1, 0, -1, 0, 0, 1), (1, -1, -1, -1, 0, 0))
-# the rows of M^-1, M = the e, s1, s2 columns of _OBSTRUCTION_LHS, in the order
-# their signs are checked: e = eq1 + eq2 - eq3, s1 = eq2 - eq3, s2 = eq1 - eq3
-_OBSTRUCTION_INVERSE = ((1, 1, -1), (0, 1, -1), (1, 0, -1))
+# Everything the restriction system knows of the surface side and the plane
+# side is read off the SZ model's two blow-downs.  Row i of A holds the i-th
+# coefficient of its columns P(L), -P(f1), -P(f2), -M, F1 and F2, one for
+# each unknown; a blow-down's matrix has its pullbacks as columns.
+_SZ = make_sz()
+(_M,), (_F1, _F2) = _SZ.from_f0.exceptional_classes, _SZ.from_plane.exceptional_classes
+_OBSTRUCTION_LHS = tuple(
+    (*p, *(-v for v in q), -m, f1, f2)
+    for p, q, m, f1, f2 in zip(
+        _SZ.from_plane.matrix, _SZ.from_f0.matrix, _M.coeffs, _F1.coeffs, _F2.coeffs
+    )
+)
+# the right side's part that is the same for every surface: P(L) - F1 - F2 + M
+_CONSTANT = _SZ.from_plane.pullback(_SZ.plane((1,))) - _F1 - _F2 + _M
+# the rows of M^-1 (M here the e, s1, s2 columns of A, not the class M), in
+# the order their signs are checked; the closed form below rests on M^-1 A >= 0
+_OBSTRUCTION_INVERSE = tuple(map(tuple, invert_unimodular([row[:3] for row in _OBSTRUCTION_LHS])))
+_REDUCED_LHS = mat_mul(_OBSTRUCTION_INVERSE, _OBSTRUCTION_LHS)
+if any(v < 0 for row in _REDUCED_LHS for v in row):
+    raise ValueError("M^-1 A has a negative entry: the closed form does not hold")
 
 
-def build_obstruction_system(
-    sz: SZModel,
-    s_pullback: DivisorClass,
-    h_pullback: DivisorClass,
-    e_gamma_total: DivisorClass,
-) -> FeasibilitySystem:
+def build_obstruction_system(model: ProjectionModel) -> FeasibilitySystem:
     """Restriction bookkeeping on the two-blowdown lattice, as equations.
 
     Suppose some composite of blow-ups resolves a birational map carrying the
-    projected surface to a plane, and restrict everything to the rank-3
+    projected quadric model to a plane, and restrict everything to the SZ
     lattice.  The surface-side hyperplane pullback decomposes as the common
-    restriction class plus m = DOUBLE_LOCUS_MULTIPLICITY copies of
-    e_gamma_total (the projection is double along its curve) plus a vertical
-    part (s1, s2, s1+s2) plus one forced exceptional (0, 0, a+1); the
-    plane-side pullback decomposes as the same restriction class plus
-    (e, e, e) plus (b1+1, b2+1, 0).  The "+1" offsets are fixed: each blowdown
-    direction is hit at least once.  Subtracting the two decompositions
-    eliminates the restriction class and leaves
+    restriction class plus m = DOUBLE_LOCUS_MULTIPLICITY copies of P(Gamma_W)
+    (the projection is double along its curve) plus a vertical part
+    s1 P(f1) + s2 P(f2) plus the exceptional M of the blow-down to the
+    quadric, a + 1 times; the plane-side pullback P(L) of a line decomposes as
+    the same restriction class plus e P(L) plus b1 + 1 and b2 + 1 times the
+    exceptionals F1 and F2 of the blow-down to the plane.  The "+1" offsets
+    are fixed: each blowdown direction is hit at least once.  Subtracting the
+    two decompositions eliminates the restriction class and leaves
 
-        e - s1 + b1 = h1 - S1 + m*g1 - 1
-        e - s2 + b2 = h2 - S2 + m*g2 - 1
-        e - s1 - s2 - a = h3 - S3 + m*g3 + 1
+        e P(L) - s1 P(f1) - s2 P(f2) - a M + b1 F1 + b2 F2
+            = P(L) - deg_s P(H) + m P(Gamma_W) - F1 - F2 + M,
 
-    in the six multiplicities, all of which must be nonnegative integers if
-    the resolving surface exists.  Infeasibility is therefore an obstruction.
-    But on the pipeline's inputs it need not read the surface: the e row of
-    M^-1 r (below) is h1 + h2 - h3 - 3, which is -2 for every quadric-side
-    input when h is the pullback of a line, so a refutation by that row
-    alone says nothing about S.
+    three equations (one per basis class of SZ) in six multiplicities, all of
+    which must be nonnegative integers if the resolving surface exists.
+    Infeasibility is therefore an obstruction.  But it need not read the
+    surface: the e row of M^-1 r (below) is -2 for every quadric model, so a
+    refutation by that row alone says nothing about S.
 
     The left side A is fixed, so the system has a closed form.  With M the
-    e, s1, s2 columns of A, det M = -1 and M^-1 A = [[1,0,0,1,1,1],
-    [0,1,0,1,0,1], [0,0,1,1,1,0]] >= 0.  So a nonnegative solution exists
-    iff M^-1 r >= 0, and then (M^-1 r, 0, 0, 0) is one; otherwise the row of
-    M^-1 that goes negative is a one-line refutation (decide_obstruction_system).
+    e, s1, s2 columns of A, M is unimodular and M^-1 A = [[1,0,0,1,1,1],
+    [0,1,0,1,0,1], [0,0,1,1,1,0]] >= 0, both checked at import.  So a
+    nonnegative solution exists iff M^-1 r >= 0, and then (M^-1 r, 0, 0, 0)
+    is one; otherwise the row of M^-1 that goes negative is a one-line
+    refutation (decide_obstruction_system).
 
-    Inputs are validated against the pullback predicates: s_pullback and
-    e_gamma_total must come from the quadric side (a + b = c), h_pullback
-    from the plane side (a = b = c).
+    A model whose surface is not the quadric raises LatticeMismatchError.
     """
-    for label, cls in (("s_pullback", s_pullback), ("e_gamma_total", e_gamma_total)):
-        if cls.lattice != sz.lattice:
-            raise LatticeMismatchError(f"{label} must live on the SZ lattice")
-        if not sz.is_f0_pullback(cls):
-            raise PullbackPredicateError(
-                f"{label} {cls.coeffs} fails the quadric-side predicate a + b = c"
-            )
-    if h_pullback.lattice != sz.lattice:
-        raise LatticeMismatchError("h_pullback must live on the SZ lattice")
-    if not sz.is_plane_pullback(h_pullback):
-        raise PullbackPredicateError(
-            f"h_pullback {h_pullback.coeffs} fails the plane-side predicate a = b = c"
+    if model.surface.lattice != _SZ.f0:
+        raise LatticeMismatchError(
+            "obstruction bookkeeping is defined for the quadric "
+            f"model, not {model.surface.lattice.name!r}"
         )
-    s = s_pullback.coeffs
-    h = h_pullback.coeffs
-    g = e_gamma_total.coeffs
-    m = DOUBLE_LOCUS_MULTIPLICITY
-    rhs = [h[i] - s[i] + m * g[i] + off for i, off in enumerate((-1, -1, 1))]
+    up = _SZ.from_f0.pullback
+    r = (
+        _CONSTANT
+        - model.deg_s * up(model.surface.polarization)
+        + DOUBLE_LOCUS_MULTIPLICITY * up(model.gamma_w)
+    )
     return FeasibilitySystem(
         unknowns=OBSTRUCTION_UNKNOWNS,
-        equations=tuple(map(LinearEquation, _OBSTRUCTION_LHS, rhs)),
+        equations=tuple(map(LinearEquation, _OBSTRUCTION_LHS, r.coeffs)),
     )
 
 
@@ -535,10 +535,9 @@ def decide_obstruction_system(system: FeasibilitySystem) -> FeasibilityCertifica
     chain = _sign_analysis(system)
     if chain is None:
         r = [eq.rhs for eq in system.equations]
-        x = [sum(map(mul, y, r)) for y in _OBSTRUCTION_INVERSE]
-        for y, v in zip(_OBSTRUCTION_INVERSE, x):
+        x = mat_vec(_OBSTRUCTION_INVERSE, r)
+        for y, coeffs, v in zip(_OBSTRUCTION_INVERSE, _REDUCED_LHS, x):
             if v < 0:
-                coeffs = tuple(sum(map(mul, y, col)) for col in zip(*_OBSTRUCTION_LHS))
                 terms = tuple((f"eq{i}", c) for i, c in enumerate(y, 1) if c)
                 chain = (ChainLine("d1", coeffs, v, combination=terms),)
                 break

@@ -88,21 +88,22 @@ class ProjectionModel(Record):
     """A surface with the double point class of one generic projection.
 
     The double curve degree is derived: each double point has two preimages,
-    so deg_gamma = (G.H).Gamma_W / 2, and an odd pairing admits none.
+    so deg_gamma = (G.H).Gamma_W / 2, and an odd or negative pairing admits
+    none (degree 0 is a projection without double curve).
     """
 
     def __init__(self, surface: PolarizedSurface, gamma_w: DivisorClass) -> None:
         if gamma_w.lattice != surface.lattice:
             raise LatticeMismatchError("double point class on the wrong lattice")
-        deg_gamma, odd = divmod(sum(map(mul, surface.gh, gamma_w.coeffs)), 2)
-        if odd:
+        pairing = sum(map(mul, surface.gh, gamma_w.coeffs))
+        if pairing % 2 or pairing < 0:
             raise IncidenceContradictionError(
-                "double point class violates the degree constraint: "
-                "its pairing with H is odd"
+                "double point class violates the degree constraint: its pairing "
+                f"with H is {pairing}, not twice a degree >= 0"
             )
         set_field(self, "surface", surface)
         set_field(self, "gamma_w", gamma_w)
-        set_field(self, "deg_gamma", deg_gamma)
+        set_field(self, "deg_gamma", pairing // 2)
 
     @property
     def deg_s(self) -> int:

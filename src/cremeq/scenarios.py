@@ -34,12 +34,12 @@ from .surfaces import (
     make_bordiga,
     make_dp6,
     make_f0_sextic,
-    make_sz,
 )
 from .threefold import (
     BlowupThreefold,
     RayKind,
     classify_second_ray,
+    divisor_dot,
     fano_check,
     is_nef_on,
     kt_dot,
@@ -502,7 +502,12 @@ def _rays(run: _Run) -> None:
     cone = [table[lab] for lab in labels]
     computed["nef"] = is_nef_on(t, cone)
     # the second ray is the steepest generator; a declared one must tie with it
-    steepest = labels[cone.index(steepest_ray(t, cone))]
+    try:
+        best = steepest_ray(t, cone)
+    except ValueError as exc:  # a generator with C.H <= 0 has no slope
+        flat = next(lab for lab in labels if divisor_dot(t, (1, 0), table[lab]) <= 0)
+        raise ScenarioConfigError(f"field 'curve_cone' {flat!r}: {exc}") from exc
+    steepest = labels[cone.index(best)]
     label = cfg.get("second_ray", steepest)
     ray, first = table[label], table[steepest]
     if steepest_ray(t, [ray, first]) is not ray or steepest_ray(t, [first, ray]) is not first:
@@ -544,18 +549,7 @@ def _negativity(run: _Run) -> None:
 
 
 def _obstruction(run: _Run) -> None:
-    model = run.products["projection model"]
-    sz = make_sz()
-    if model.surface.lattice != sz.f0:
-        raise ScenarioConfigError(
-            "obstruction bookkeeping is defined for the quadric "
-            f"model, not {model.surface.lattice.name!r}"
-        )
-    s_pull = model.deg_s * sz.from_f0.pullback(model.surface.polarization)
-    e_total = sz.from_f0.pullback(model.gamma_w)
-    h_pull = sz.from_plane.pullback(sz.plane((1,)))
-    system = build_obstruction_system(sz, s_pull, h_pull, e_total)
-    cert = decide_obstruction_system(system)
+    cert = decide_obstruction_system(build_obstruction_system(run.products["projection model"]))
     run.computed["obstruction_status"] = cert.status
     final = cert.final_line_solved
     run.computed["obstruction_final_line"] = final or ""

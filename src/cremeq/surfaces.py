@@ -13,8 +13,9 @@ classical degree-6 surfaces are shipped:
 
 The SZModel is the rank-3 lattice of the plane blown up in two points,
 presented in the basis of its three (-1)-classes.  It admits two blow-downs,
-one to the quadric and one to the plane, and the two pullback predicates that
-come with them; the obstruction machinery lives on it.
+one to the quadric and one to the plane; the restriction system of the
+obstruction is read off them, and make_sz is the only place that writes them
+down.
 """
 
 from __future__ import annotations
@@ -89,20 +90,6 @@ def _plane_lattice() -> IntersectionLattice:
     )
 
 
-def _blowup_plane_lattice(n: int, name: str) -> IntersectionLattice:
-    basis = ("L",) + tuple(f"E{i}" for i in range(1, n + 1))
-    gram = tuple(
-        tuple((1 if i == j == 0 else -1 if i == j else 0) for j in range(n + 1))
-        for i in range(n + 1)
-    )
-    return IntersectionLattice(
-        name=name,
-        basis=basis,
-        gram=gram,
-        canonical_coeffs=(-3,) + (1,) * n,
-    )
-
-
 def make_f0_sextic() -> PolarizedSurface:
     """The quadric embedded by the (1,3) system, then generically projected.
 
@@ -118,10 +105,7 @@ def make_bordiga() -> PolarizedSurface:
 
     Degree 16 - 10 = 6, sectional genus 3.
     """
-    lat = _blowup_plane_lattice(10, name="Bl10P2")
-    return PolarizedSurface(
-        lattice=lat, polarization=lat((4,) + (-1,) * 10), name="bordiga"
-    )
+    return make_blowup_plane(10, (4,) + (-1,) * 10, "bordiga")
 
 
 def make_dp6() -> PolarizedSurface:
@@ -130,8 +114,7 @@ def make_dp6() -> PolarizedSurface:
     Degree 9 - 3 = 6, sectional genus 1.  The six lines are passed around
     explicitly where a curve cone is required.
     """
-    lat = _blowup_plane_lattice(3, name="Bl3P2")
-    return PolarizedSurface(lattice=lat, polarization=lat((3, -1, -1, -1)), name="dp6")
+    return make_blowup_plane(3, (3, -1, -1, -1), "dp6")
 
 
 def dp6_line_classes(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
@@ -145,15 +128,27 @@ def dp6_line_classes(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return tuple(es + ls)
 
 
-def make_blowup_plane(n_points: int, polarization: tuple[int, ...], name: str | None = None) -> PolarizedSurface:
-    """Generic constructor: plane blown up in n_points with a chosen polarization.
+def make_blowup_plane(
+    n_points: int, polarization: tuple[int, ...], name: str | None = None
+) -> PolarizedSurface:
+    """The plane blown up in n_points, with a chosen polarization.
 
-    The lattice is in the standard presentation (L, E1, ..., En) with gram
-    diag(1, -1, ..., -1) and K = -3L + E1 + ... + En.
+    The lattice Bl{n}P2 is in the standard presentation (L, E1, ..., En) with
+    gram diag(1, -1, ..., -1) and K = -3L + E1 + ... + En; name names the
+    surface.
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
-    lat = _blowup_plane_lattice(n_points, name=name or f"Bl{n_points}P2")
+    rank = n_points + 1
+    lat = IntersectionLattice(
+        name=f"Bl{n_points}P2",
+        basis=("L",) + tuple(f"E{i}" for i in range(1, rank)),
+        gram=tuple(
+            tuple((1 if i == j == 0 else -1 if i == j else 0) for j in range(rank))
+            for i in range(rank)
+        ),
+        canonical_coeffs=(-3,) + (1,) * n_points,
+    )
     return PolarizedSurface(
         lattice=lat,
         polarization=lat(polarization),
@@ -167,14 +162,10 @@ class SZModel(Record):
     Basis (F1, F2, M): the two point exceptionals and the strict transform of
     the line joining the points.  Contracting M is the blow-down to the
     quadric; contracting F1 and F2 is the blow-down to the plane.  Both
-    blow-downs are carried as validated BlowupMap values, and the two
-    pullback sublattices have the hyperplane descriptions
-
-        from the quadric:  a + b = c,
-        from the plane:    a = b = c,
-
-    for a class with coefficients (a, b, c).  The lattice is the blow-downs'
-    shared target, derived from them.
+    blow-downs are carried as validated BlowupMap values, and a class is
+    pulled back from one side exactly when it is orthogonal to that side's
+    exceptionals.  The lattice is the blow-downs' shared target, derived
+    from them.
     """
 
     def __init__(self, from_f0: BlowupMap, from_plane: BlowupMap) -> None:
@@ -191,18 +182,6 @@ class SZModel(Record):
     @property
     def plane(self) -> IntersectionLattice:
         return self.from_plane.source
-
-    def is_f0_pullback(self, c: DivisorClass) -> bool:
-        if c.lattice != self.lattice:
-            raise LatticeMismatchError("class is not on the SZ lattice")
-        a, b, m = c.coeffs
-        return a + b == m
-
-    def is_plane_pullback(self, c: DivisorClass) -> bool:
-        if c.lattice != self.lattice:
-            raise LatticeMismatchError("class is not on the SZ lattice")
-        a, b, m = c.coeffs
-        return a == b == m
 
 
 def make_sz() -> SZModel:

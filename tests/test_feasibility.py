@@ -18,14 +18,15 @@ from cremeq.feasibility import (
     FeasibilityCertificate,
     FeasibilitySystem,
     LinearEquation,
-    PullbackPredicateError,
     build_obstruction_system,
     decide_obstruction_system,
     replay_chain,
     solve_nonneg,
 )
-from cremeq.lattice import LatticeMismatchError
-from cremeq.surfaces import make_sz
+from cremeq.lattice import LatticeMismatchError, pair
+from cremeq.projection import ProjectionModel
+from cremeq.surfaces import PolarizedSurface
+from cremeq.threefold import BlowupThreefold, st_dot
 
 
 def S(unknowns, *eqs):
@@ -36,11 +37,8 @@ def S(unknowns, *eqs):
 
 
 @pytest.fixture
-def sextic_system(sz):
-    s = 6 * sz.from_f0.pullback(sz.f0((1, 3)))
-    g = sz.from_f0.pullback(sz.f0((4, 8)))
-    h = sz.from_plane.pullback(sz.plane((1,)))
-    return build_obstruction_system(sz, s, h, g)
+def sextic_system(f0):
+    return build_obstruction_system(ProjectionModel(f0, f0.lattice((4, 8))))
 
 
 def test_obstruction_system_rows(sextic_system):
@@ -52,19 +50,10 @@ def test_obstruction_system_rows(sextic_system):
     assert eqs[0].render(sextic_system.unknowns) == "e - s1 + b1 = 2"
 
 
-def test_obstruction_input_validation(sz, f0):
-    s = 6 * sz.from_f0.pullback(sz.f0((1, 3)))
-    g = sz.from_f0.pullback(sz.f0((4, 8)))
-    h = sz.from_plane.pullback(sz.plane((1,)))
-    bad_q = sz.lattice((1, 0, 0))  # fails a + b = c
-    with pytest.raises(PullbackPredicateError, match="s_pullback"):
-        build_obstruction_system(sz, bad_q, h, g)
-    with pytest.raises(PullbackPredicateError, match="e_gamma_total"):
-        build_obstruction_system(sz, s, h, bad_q)
-    with pytest.raises(PullbackPredicateError, match="a = b = c"):
-        build_obstruction_system(sz, s, s, g)
-    with pytest.raises(LatticeMismatchError):
-        build_obstruction_system(sz, f0.polarization, h, g)
+def test_obstruction_input_validation(dp6):
+    model = ProjectionModel(dp6, dp6.lattice((9, -3, -3, -3)))
+    with pytest.raises(LatticeMismatchError, match="quadric model, not 'Bl3P2'"):
+        build_obstruction_system(model)
 
 
 def test_sextic_system_infeasible_with_hand_chain(sextic_system):
@@ -396,19 +385,45 @@ def test_every_refutation_ends_in_a_solved_line():
     assert statuses == {"INFEASIBLE": 1434, "FEASIBLE": 2197 - 1434}
 
 
-def test_surface_free_systems_are_refuted(sz):
+def test_surface_free_systems_are_refuted(f0):
     # This pins a known limitation of the encoding, not a wanted result: the
     # e row of M^-1 r is h1 + h2 - h3 - 3 = -2 for every quadric-side input,
     # so with h the pullback of a line the restriction system is refuted even
     # with no surface in it, and on the smooth quadric, which is Cremona
     # equivalent to a plane.  A change to the encoding must edit this test.
-    h = sz.from_plane.pullback(sz.plane((1,)))
-    zero = sz.from_f0.pullback(sz.f0((0, 0)))
-    quadric = 2 * sz.from_f0.pullback(sz.f0((1, 1)))
-    for s, final in ((zero, "s2 = -2 - a - b1"), (quadric, "e = -2 - b2")):
-        cert = decide_obstruction_system(build_obstruction_system(sz, s, h, zero))
+    zero = f0.lattice((0, 0))
+    for h, final in (((0, 0), "s2 = -2 - a - b1"), ((1, 1), "e = -2 - b2")):
+        surface = PolarizedSurface(f0.lattice, f0.lattice(h), "surface-free")
+        system = build_obstruction_system(ProjectionModel(surface, zero))
+        cert = decide_obstruction_system(system)
         assert cert.status == "INFEASIBLE"
         assert cert.final_line_solved == final
+
+
+def test_m_inverse_r_reads_the_rulings(f0):
+    # Over random F0 models (H, Gamma_W), Gamma_W.H even and >= 0, M^-1 r is
+    # (-2, st_dot(f2) - 2, st_dot(f1) - 2): the e row never reads the surface,
+    # the s rows read its degree on the rulings.  M, the e, s1, s2 columns of
+    # the left side, is inverted by sympy.
+    lat = f0.lattice
+    f1, f2 = lat((1, 0)), lat((0, 1))
+    m_inv = None
+    rng = random.Random(28)
+    drawn = 0
+    for _ in range(1000):
+        h = lat((rng.randint(-6, 6), rng.randint(-6, 6)))
+        gamma_w = lat((rng.randint(-12, 24), rng.randint(-12, 24)))
+        if pair(h, gamma_w) % 2 or pair(h, gamma_w) < 0:
+            continue
+        model = ProjectionModel(PolarizedSurface(lat, h, "drawn"), gamma_w)
+        system = build_obstruction_system(model)
+        if m_inv is None:
+            m_inv = sympy.Matrix([eq.coeffs[:3] for eq in system.equations]).inv()
+        x = m_inv * sympy.Matrix([eq.rhs for eq in system.equations])
+        t = BlowupThreefold(model)
+        assert list(x) == [-2, st_dot(t, f2) - 2, st_dot(t, f1) - 2], (h, gamma_w)
+        drawn += 1
+    assert drawn > 300
 
 
 def test_sign_analysis_chains_are_pinned():

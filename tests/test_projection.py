@@ -109,6 +109,11 @@ def test_projection_model_validates_degree_pairing(f0):
     with pytest.raises(IncidenceContradictionError, match="degree"):
         # pairs to 21 with H: no double curve has degree 21 / 2
         ProjectionModel(surface=f0, gamma_w=f0.lattice((4, 9)))
+    with pytest.raises(IncidenceContradictionError, match="pairing with H is -20"):
+        ProjectionModel(surface=f0, gamma_w=f0.lattice((-4, -8)))
+    # degree 0 stays legal, for the zero class and for (3, -9).(3, 1) = 0
+    for coeffs in ((0, 0), (3, -9)):
+        assert ProjectionModel(surface=f0, gamma_w=f0.lattice(coeffs)).deg_gamma == 0
 
 
 def test_projection_model_degrees_come_from_the_surface(f0):

@@ -11,9 +11,11 @@ reports by name and mangles properties, so a census by name calls
 `PolarizedSurface.degree` unreached.
 
 A public name no user entry point reaches needs a reason to stay, in one of
-two lists: TEST_ONLY (only tests call it) or WORKLOAD_ONLY (only the
-benchmark workloads reach it).  A listed name that a user entry point
-reaches, that is in the wrong list, or that no longer exists fails too.
+three lists: TEST_ONLY (only tests call it), WORKLOAD_ONLY (only the
+benchmark workloads reach it) or IMPORT_ONLY (it runs while cremeq is
+imported, which is before the census starts; a fresh interpreter checks
+that).  A listed name that a user entry point reaches, that is in the wrong
+list, or that no longer exists fails too.
 """
 
 import contextlib
@@ -22,7 +24,9 @@ import inspect
 import io
 import json
 import pkgutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,9 +73,16 @@ WORKLOAD_ONLY = {
     "lattice.BasisChange.to_new": _REBASING,
     "lattice.BasisChange.to_old": _REBASING,
     "linalg.invert_unimodular": _REBASING,
-    "surfaces.make_blowup_plane": (
-        "builds Bl_n P2 with any polarization; the built-in scenarios name "
-        "fixed surfaces, and the dense-rank workload builds its surfaces so"
+}
+
+_RESTRICTION = "feasibility reads the restriction system off make_sz() once, at import"
+
+IMPORT_ONLY = {
+    "surfaces.make_sz": _RESTRICTION,
+    "surfaces.SZModel.plane": _RESTRICTION,
+    "linalg.mat_mul": (
+        "BlowupMap checks make_sz()'s blow-downs with it; after import only "
+        "change_basis multiplies, in the dense-rank workload"
     ),
 }
 
@@ -159,13 +170,13 @@ def census(tmp_path_factory):
 
 def test_every_public_name_is_reached_or_listed(census):
     public, user, _ = census
+    listed = {**TEST_ONLY, **WORKLOAD_ONLY, **IMPORT_ONLY}
     unlisted = sorted(
-        name for name, code in public.items()
-        if code not in user and name not in TEST_ONLY and name not in WORKLOAD_ONLY
+        name for name, code in public.items() if code not in user and name not in listed
     )
     assert not unlisted, (
         "public, yet no entry point reaches it; delete it, or list it in "
-        f"TEST_ONLY or WORKLOAD_ONLY with the reason it stays: {unlisted}"
+        f"TEST_ONLY, WORKLOAD_ONLY or IMPORT_ONLY with the reason it stays: {unlisted}"
     )
 
 
@@ -175,6 +186,7 @@ def test_listed_names_are_current(census):
     for lst, listed, in_workload in (
         ("TEST_ONLY", TEST_ONLY, False),
         ("WORKLOAD_ONLY", WORKLOAD_ONLY, True),
+        ("IMPORT_ONLY", IMPORT_ONLY, None),  # a workload may reach it or not
     ):
         for name in listed:
             code = public.get(name)
@@ -182,8 +194,40 @@ def test_listed_names_are_current(census):
                 stale.append(f"{lst}: {name} is no public function, method or property")
             elif code in user:
                 stale.append(f"{lst}: {name} is reached by a user entry point")
-            elif (code in workload) != in_workload:
+            elif in_workload is not None and (code in workload) != in_workload:
                 stale.append(
                     f"{lst}: {name} is {'not ' if in_workload else ''}reached by a workload"
                 )
     assert not stale, stale
+
+
+# the (file, first line) of every function entered while cremeq is imported
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(
+    (frame.f_code.co_filename, frame.f_code.co_firstlineno)))
+import cremeq
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def test_import_only_names_run_at_import():
+    # a fresh interpreter imports cremeq anew; -B writes no .pyc files
+    src = str(Path(cremeq.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", _IMPORT_PROBE, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    entered = {(str(Path(f).resolve()), line) for f, line in json.loads(out)}
+    public = public_code()
+    missing = [
+        name for name in IMPORT_ONLY
+        if (str(Path(public[name].co_filename).resolve()), public[name].co_firstlineno)
+        not in entered
+    ]
+    assert not missing, f"not run while cremeq is imported: {missing}"

@@ -363,6 +363,21 @@ def test_second_ray_that_does_not_tie_fails_the_rays_stage_by_field(
     assert "second_ray" not in report.certificates
 
 
+def test_cone_generator_without_slope_fails_the_rays_stage_by_field(tmp_path, capsys):
+    # C.H = 1*3 - 4*1 = -1 on the sextic's H = (1, 3)
+    cfg = json.loads(json.dumps(builtin_scenario("sextic-ruled").config))
+    cfg["classes"].append({"label": "flat", "coeffs": [1, -4]})
+    cfg["curve_cone"].append("flat")
+    report = run_scenario(Scenario(cfg))
+    assert report.overall == "FAIL"
+    assert report.computed["ray_kind"] == (
+        "ERROR: ScenarioConfigError: field 'curve_cone' 'flat': cone generator "
+        "[1, -4] has C.H = -1 <= 0, so no slope"
+    )
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert "field 'curve_cone' 'flat'" in capsys.readouterr().out
+
+
 def test_second_ray_is_derived_or_a_tied_choice():
     # dp6's six lines tie: any of them may be declared, and the first in
     # curve_cone order is derived when none is; the numbers are the same

@@ -80,8 +80,9 @@ def test_sz_blowdown_to_quadric(sz):
     h = q((1, 3))
     up = sz.from_f0.pullback(h)
     assert up.coeffs == (1, 3, 4)
-    assert sz.is_f0_pullback(up)
-    assert not sz.is_plane_pullback(up)
+    # orthogonal to the quadric side's exceptional, not to the plane side's
+    assert [pair(up, e) for e in sz.from_f0.exceptional_classes] == [0]
+    assert [pair(up, e) for e in sz.from_plane.exceptional_classes] == [3, 1]
     assert pair(up, up) == pair(h, h) == 6
 
 
@@ -90,7 +91,7 @@ def test_sz_blowdown_to_plane(sz):
     ell = p((1,))
     up = sz.from_plane.pullback(ell)
     assert up.coeffs == (1, 1, 1)
-    assert sz.is_plane_pullback(up)
+    assert [pair(up, e) for e in sz.from_plane.exceptional_classes] == [0, 0]
     assert pair(up, up) == 1
 
 
@@ -101,8 +102,9 @@ def test_sz_rulings(sz):
     assert r2.coeffs == (1, 0, 1)
     assert pair(r1, r1) == 0 and pair(r2, r2) == 0
     assert pair(r1, r2) == 1
-    # the hyperplane description a + b = c holds on both
-    assert sz.is_f0_pullback(r1) and sz.is_f0_pullback(r2)
+    # both are orthogonal to M, the quadric side's exceptional
+    (m,) = sz.from_f0.exceptional_classes
+    assert pair(r1, m) == pair(r2, m) == 0
 
 
 def test_sz_exceptional_classes(sz):
@@ -130,6 +132,6 @@ def test_sz_from_f0_isometry_onto_predicate(a, b):
     sz = make_sz()
     c = sz.f0((a, b))
     up = sz.from_f0.pullback(c)
-    assert sz.is_f0_pullback(up)
+    assert up.coeffs == (a, b, a + b)
     assert pair(up, up) == pair(c, c)
     assert pair(up, sz.from_f0.exceptional_classes[0]) == 0

@@ -180,8 +180,12 @@ def test_ray_numbers_are_pairings_on_dense_lattices(rank):
     def random_class():
         return bc.new(tuple(rng.randint(-5, 5) for _ in range(rank)))
 
-    # any even class meets the degree constraint with deg_gamma = half.H
+    # any even class of H-degree >= 0 meets the degree constraint with
+    # deg_gamma = half.H; the checks below are bilinear, so a negated half
+    # loses no case
     half = random_class()
+    if pair(half, surface.polarization) < 0:
+        half = -half
     model = ProjectionModel(surface=surface, gamma_w=2 * half)
     assert model.deg_gamma == pair(half, surface.polarization)
     t = BlowupThreefold(model)
@@ -234,9 +238,11 @@ def test_rays_with_both_numbers_nonzero_are_unclassified(t_sextic, f0):
 
 
 def test_flop_wall_at_surface_degree_minus_one():
-    # a degree-7 surface makes s odd: E1 has s = 7 - 2*4 = -1 and k = -4 + 4 = 0
+    # a degree-7 surface makes s odd: E1 has s = 7 - 2*4 = -1 and k = -4 + 4 = 0;
+    # Gamma_W is what project_to_p3 solves from E1 and E2, of degree 14
     s7 = make_blowup_plane(2, (3, -1, -1))
-    t = BlowupThreefold(ProjectionModel(s7, s7.lattice((0, -4, -6))))
+    t = BlowupThreefold(ProjectionModel(s7, s7.lattice((12, -4, -4))))
+    assert t.projection.deg_gamma == 14
     v = classify_second_ray(t, s7.lattice((0, 1, 0)))
     assert (v.s_dot, v.k_dot, v.kind) == (-1, 0, RayKind.FLOP_WALL_CANONICAL_FANO)
 
